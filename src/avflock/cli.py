@@ -9,6 +9,7 @@ carry no timestamps, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -77,28 +78,28 @@ def _params_from(args, scenario: Scenario, seed: int = 0) -> SimParams:
     )
 
 
+def _open_out(path: str):
+    return open(_out_path(path), "w", encoding="utf-8", newline="")
+
+
 def cmd_run(args) -> int:
     params = _params_from(args, _SCENARIO_FLAGS[args.scenario], args.seed)
-    trace_fh = None
-    if args.trace:
-        trace_fh = open(_out_path(args.trace), "w", encoding="utf-8", newline="")
-    try:
+    with contextlib.ExitStack() as stack:
+        # open the outputs first: a bad path fails before the simulation
+        trace_fh = stack.enter_context(_open_out(args.trace)) if args.trace else None
+        out_fh = stack.enter_context(_open_out(args.out)) if args.out else None
         result = run(params, args.seed, trace=trace_fh)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    red, black = result.per_team_collisions
-    print(f"total collisions: {result.total_collisions} "
-          f"(red {red}, black {black}) over {params.ticks} ticks, "
-          f"scenario {params.scenario.value}, seed {result.seed}")
-    if args.out:
-        path = _out_path(args.out)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# avflock {__version__}\n")
-            fh.write("tick,collisions\n")
+        red, black = result.per_team_collisions
+        print(f"total collisions: {result.total_collisions} "
+              f"(red {red}, black {black}) over {params.ticks} ticks, "
+              f"scenario {params.scenario.value}, seed {result.seed}")
+        if out_fh:
+            out_fh.write(f"# avflock {__version__}\n")
+            out_fh.write("tick,collisions\n")
             for t, c in enumerate(result.collisions_per_tick, start=1):
-                fh.write(f"{t},{c}\n")
-        print(f"per-tick collisions written to {path}")
+                out_fh.write(f"{t},{c}\n")
+            out_fh.close()
+            print(f"per-tick collisions written to {out_fh.name}")
     return 0
 
 

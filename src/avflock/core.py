@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -167,6 +167,10 @@ class SimParams:
 
     def validate(self) -> None:
         """Raise on malformed settings, warn on out-of-slider-range values."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.ticks < 1:
             raise ValueError(f"ticks must be >= 1, got {self.ticks}")
         if self.world_width <= 0 or self.world_height <= 0:
@@ -207,5 +211,6 @@ class WorldState:
     active_pairs: set[tuple[int, int]] = field(default_factory=set)
     # action kind per agent from the latest tick, for trace output
     last_actions: list = field(default_factory=list)
-    # engine-owned spatial index, created lazily (geometry is fixed per run)
+    # engine-owned per-run state (spatial grid, heading trig memo), created
+    # lazily (geometry is fixed per run)
     index: object = None

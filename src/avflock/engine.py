@@ -7,17 +7,31 @@ on the post-move positions. The random-walk scenario interleaves its two
 moves per agent as the baseline procedure dictates; its behavior reads no
 neighbor state, so per-agent application is snapshot-equivalent.
 
+Behavior and collision detection read the same post-move positions, so a
+tick makes one half-shell pass over unordered agent pairs
+(SpatialGrid.scan). It yields the colliding pairs and each agent's nearest
+neighbor within min(sonar_range, min_safety_distance), which is all a social
+decision reads: the nearest agent within sonar range is a threat exactly
+when it lies within that cut. The per-agent functions (social_step,
+random_walk_step, displace, detect_collisions, SpatialGrid.candidates) are
+the reference the tick reproduces bit for bit; the tests replay them as its
+oracle.
+
 All randomness flows through one seeded generator consumed in agent-id
 order, which makes run(params, seed) referentially transparent.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .agents import ActionKind, random_walk_step, social_step
-from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,
+# social_step, random_walk_step and displace are the per-agent reference
+# that `tick` reproduces; they are not called here, but the benchmark's
+# traced run (perfbench/tracer.py) looks them up on this module
+from .agents import ActionKind, random_walk_step, social_step  # noqa: F401
+from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,  # noqa: F401
                    WorldState, _wrap1, displace, torus_distance_xy)
 
 
@@ -32,6 +46,8 @@ class SpatialGrid:
     def __init__(self, width: float, height: float, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
+        self.width = width
+        self.height = height
         self.cell_size = cell_size
         self.nx = max(1, int(width / cell_size))
         self.ny = max(1, int(height / cell_size))
@@ -40,6 +56,9 @@ class SpatialGrid:
         self.buckets: dict[int, list[int]] = {}
         self._hoods: dict[int, tuple[int, ...]] = {}
         self._cands: dict[int, list[int]] = {}
+        # half-shell neighbors of the cells whose stencil wraps; interior
+        # cells compute theirs, so this grows with the perimeter, not the area
+        self._edges: dict[int, tuple[int, ...]] = {}
 
     def rebuild(self, agents: list[AgentState]) -> None:
         """Re-bucket every agent by its wrapped position."""
@@ -96,6 +115,97 @@ class SpatialGrid:
             self._cands[key] = out
         return out
 
+    def _half_shell(self, key: int) -> tuple[int, ...]:
+        """The neighbor cells of `key` whose pairs with it `scan` visits.
+
+        With at least 3 cells per axis the 8 neighbors are distinct and the
+        shell is 4 of them, one of each opposite pair. On a smaller grid the
+        stencil wraps onto itself, so the shell is the deduplicated
+        neighborhood's cells with a larger key.
+        """
+        ny = self.ny
+        cx, cy = divmod(key, ny)
+        if self.nx < 3 or ny < 3:
+            return tuple(c for c in self._hood(cx, cy) if c > key)
+        east = (cx + 1) % self.nx * ny
+        return (cx * ny + (cy + 1) % ny, east + (cy - 1) % ny, east + cy,
+                east + (cy + 1) % ny)
+
+    def scan(self, xs: list[float], ys: list[float], radius: float,
+             cut: float) -> tuple[set[tuple[int, int]], list[int]]:
+        """One pass over the unordered pairs of the current buckets.
+
+        `xs`/`ys` are the positions the grid was rebuilt from, by agent id.
+        Returns the id pairs (i < j) at torus distance strictly below
+        `radius`, and per agent the id of its nearest other agent at
+        distance at most `cut` (ties to the lowest id), or -1. A negative
+        cut skips the nearest-neighbor search.
+        """
+        reach = max(radius, cut)
+        if reach > self.cell_size:
+            raise ValueError(f"query reach {reach} exceeds cell size {self.cell_size}")
+        # d >= max(dx, dy), and hypot errs by under an ulp, so a pair with
+        # dx or dy beyond this bound is outside both radius and cut
+        far = reach * (1.0 + 1e-9)
+        w, h = self.width, self.height
+        hypot = math.hypot
+        n = len(xs)
+        near = [-1] * n
+        best = [math.inf] * n
+        pairs: set[tuple[int, int]] = set()
+        buckets = self.buckets
+        get = buckets.get
+        edges = self._edges
+        ny = self.ny
+        inner = self.nx >= 3 and ny >= 3
+        last_x, last_y = (self.nx - 1) * ny, ny - 1
+        for key, cell in buckets.items():
+            if inner and key < last_x and 0 < key % ny < last_y:
+                e = key + ny
+                others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),
+                          *get(e + 1, ())]
+            else:
+                shell = edges.get(key)
+                if shell is None:
+                    shell = edges[key] = self._half_shell(key)
+                others = [j for k in shell for j in get(k, ())]
+            if len(cell) == 1:
+                if not others:
+                    continue
+                todo = ((cell[0], others),)
+            else:
+                # each same-cell pair once: an agent with those after it
+                todo = [(i, cell[a + 1:] + others) for a, i in enumerate(cell)]
+            for i, partners in todo:
+                xi = xs[i]
+                yi = ys[i]
+                for j in partners:
+                    dx = xi - xs[j]
+                    if dx < 0.0:
+                        dx = -dx
+                    if dx > w - dx:
+                        dx = w - dx
+                    if dx > far:
+                        continue
+                    dy = yi - ys[j]
+                    if dy < 0.0:
+                        dy = -dy
+                    if dy > h - dy:
+                        dy = h - dy
+                    if dy > far:
+                        continue
+                    d = hypot(dx, dy)
+                    if d < radius:
+                        pairs.add((i, j) if i < j else (j, i))
+                    if d <= cut:
+                        if d < best[i] or (d == best[i] and j < near[i]):
+                            best[i] = d
+                            near[i] = j
+                        if d < best[j] or (d == best[j] and i < near[j]):
+                            best[j] = d
+                            near[j] = i
+        return pairs, near
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -132,38 +242,16 @@ def setup(params: SimParams, seed: int | None = None) -> WorldState:
     return WorldState(agents=agents, params=params, rng=rng)
 
 
-def detect_collisions(world: WorldState, collision_radius: float,
-                      grid: SpatialGrid | None = None) -> int:
-    """Count this tick's collision events and update tallies and flags.
+def _tally(world: WorldState, now: set[tuple[int, int]]) -> int:
+    """Feed this tick's colliding pairs into the totals, tallies and flags.
 
-    A pair is colliding while its torus distance is strictly below the
-    radius; an event fires when a pair enters that state (debounced via the
-    previous tick's pair set). The configured collision rule decides how
-    events feed the totals. Returns the amount added to the world total.
+    An event fires when a pair enters the colliding state (debounced via
+    the previous tick's pair set); the collision rule decides how events
+    feed the totals. Returns the amount added to the world total.
     """
-    if collision_radius <= 0:
-        raise ValueError("collision_radius must be positive")
     agents = world.agents
-    p = world.params
-    w, h = p.world_width, p.world_height
-    now: set[tuple[int, int]] = set()
-    if grid is None:
-        for i, a in enumerate(agents):
-            ax, ay = a.x, a.y
-            for j in range(i + 1, len(agents)):
-                b = agents[j]
-                if torus_distance_xy(ax, ay, b.x, b.y, w, h) < collision_radius:
-                    now.add((i, j))
-    else:
-        for i, a in enumerate(agents):
-            ax, ay = a.x, a.y
-            for j in grid.candidates(ax, ay):
-                if j > i:
-                    b = agents[j]
-                    if torus_distance_xy(ax, ay, b.x, b.y, w, h) < collision_radius:
-                        now.add((i, j))
     events = now - world.active_pairs
-    rule = p.collision_rule
+    rule = world.params.collision_rule
     if rule is CollisionRule.OVERLAP:
         counted, count = now, len(now)
     elif rule is CollisionRule.AGENT_ENTRY:
@@ -184,14 +272,46 @@ def detect_collisions(world: WorldState, collision_radius: float,
     return count
 
 
-def _grid_for(world: WorldState) -> SpatialGrid:
-    grid = world.index
-    if grid is None:
+def detect_collisions(world: WorldState, collision_radius: float) -> int:
+    """Count this tick's collision events by an O(n^2) scan (the reference
+    for the tick's grid pass) and update tallies and flags.
+
+    A pair is colliding while its torus distance is strictly below the
+    radius. Returns the amount added to the world total.
+    """
+    if collision_radius <= 0:
+        raise ValueError("collision_radius must be positive")
+    agents = world.agents
+    p = world.params
+    w, h = p.world_width, p.world_height
+    now: set[tuple[int, int]] = set()
+    for i, a in enumerate(agents):
+        ax, ay = a.x, a.y
+        for j in range(i + 1, len(agents)):
+            b = agents[j]
+            if torus_distance_xy(ax, ay, b.x, b.y, w, h) < collision_radius:
+                now.add((i, j))
+    return _tally(world, now)
+
+
+def _index_for(world: WorldState):
+    """The engine's per-run state: grid, nearest-neighbor cut and the
+    (sin, cos) memo per heading value, created on the first tick."""
+    index = world.index
+    if index is None:
         p = world.params
+        cut = (min(p.sonar_range, p.min_safety_distance)
+               if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
         grid = SpatialGrid(p.world_width, p.world_height,
-                           max(p.sonar_range, p.collision_radius))
-        world.index = grid
-    return grid
+                           max(cut, p.collision_radius))
+        index = world.index = (grid, cut, {})
+    return index
+
+
+def _sincos(heading: float) -> tuple[float, float]:
+    # the same floats as displace computes for this heading
+    rad = math.radians(heading % 360.0)
+    return math.sin(rad), math.cos(rad)
 
 
 def tick(world: WorldState) -> WorldState:
@@ -199,44 +319,93 @@ def tick(world: WorldState) -> WorldState:
     p = world.params
     agents = world.agents
     w, h = p.world_width, p.world_height
-    grid = _grid_for(world)
+    grid, cut, trig = _index_for(world)
+    maxv = p.max_velocity
+    acc = p.max_acceleration
+    decel = p.deceleration
+    literal = p.literal_rules
 
     if p.scenario is Scenario.ALL_SOCIAL_AVS:
+        # move; equal to displace(x, y, heading, speed, w, h)
         for a in agents:
-            if a.speed != 0.0:
-                a.x, a.y = displace(a.x, a.y, a.heading, a.speed, w, h)
+            sp = a.speed
+            if sp != 0.0:
+                sc = trig.get(a.heading)
+                if sc is None:
+                    sc = trig[a.heading] = _sincos(a.heading)
+                x = (a.x + sp * sc[0]) % w
+                y = (a.y + sp * sc[1]) % h
+                a.x = 0.0 if x >= w else x
+                a.y = 0.0 if y >= h else y
         grid.rebuild(agents)
-        actions = [social_step(a, world, p, grid.candidates(a.x, a.y))
-                   for a in agents]
-        maxv = p.max_velocity
-        for a, act in zip(agents, actions):
-            kind = act.kind
-            if kind is ActionKind.MIRROR:
-                a.heading = act.new_heading
-                a.speed = act.new_speed
-                if not p.literal_rules:
+        now, near = grid.scan([a.x for a in agents], [a.y for a in agents],
+                              p.collision_radius, cut)
+        # decide on the snapshot, apply in id order; equal to social_step
+        headings = [a.heading for a in agents]
+        speeds = [a.speed for a in agents]
+        kinds = [ActionKind.KEEP] * len(agents)
+        for i, j in enumerate(near):
+            a = agents[i]
+            if j >= 0:
+                sp = max(0.0, speeds[j] - decel)
+                if literal:
+                    sp = min(sp + acc, maxv)
+                else:
                     a.recovering = True
-            elif kind is ActionKind.ACCELERATE:
-                a.speed = act.new_speed
-                if act.new_speed >= maxv:
+                a.heading = headings[j]
+                a.speed = sp
+                kinds[i] = ActionKind.MIRROR
+            elif not literal and a.recovering and a.speed < maxv:
+                sp = min(a.speed + acc, maxv)
+                a.speed = sp
+                if sp >= maxv:
                     a.recovering = False
-        world.last_actions = [act.kind for act in actions]
-    else:
-        rng = world.rng
-        kinds = []
-        for a in agents:
-            act = random_walk_step(a, p, rng)
-            a.x, a.y = displace(a.x, a.y, a.heading, a.speed, w, h)
-            a.heading = act.mid_heading
-            a.x, a.y = displace(a.x, a.y, a.heading, a.speed, w, h)
-            a.heading = act.new_heading
-            a.speed = act.new_speed
-            a.random_behaviour = not a.random_behaviour
-            kinds.append(act.kind)
-        grid.rebuild(agents)
+                kinds[i] = ActionKind.ACCELERATE
         world.last_actions = kinds
+    else:
+        # equal to random_walk_step plus its two displace calls: randrange(n)
+        # draws getrandbits(n.bit_length()) until the value is below n
+        getrandbits = world.rng.getrandbits
+        minv = p.min_velocity
+        for a in agents:
+            h1 = getrandbits(7)
+            while h1 >= 89:
+                h1 = getrandbits(7)
+            h2 = getrandbits(8)
+            while h2 >= 200:
+                h2 = getrandbits(8)
+            sp = a.speed
+            if a.random_behaviour:
+                speed = min(sp + acc, maxv)
+            elif literal:
+                speed = sp + decel
+                if speed < minv:
+                    speed = minv
+            else:
+                speed = max(sp - decel, minv)
+            if sp != 0.0:
+                x, y = a.x, a.y
+                for heading in (a.heading, h1):
+                    sc = trig.get(heading)
+                    if sc is None:
+                        sc = trig[heading] = _sincos(heading)
+                    x = (x + sp * sc[0]) % w
+                    y = (y + sp * sc[1]) % h
+                    if x >= w:
+                        x = 0.0
+                    if y >= h:
+                        y = 0.0
+                a.x = x
+                a.y = y
+            a.heading = float(h2)
+            a.speed = speed
+            a.random_behaviour = not a.random_behaviour
+        grid.rebuild(agents)
+        now, _ = grid.scan([a.x for a in agents], [a.y for a in agents],
+                           p.collision_radius, cut)
+        world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
 
-    world.collisions_per_tick.append(detect_collisions(world, p.collision_radius, grid))
+    world.collisions_per_tick.append(_tally(world, now))
     world.tick += 1
     return world
 

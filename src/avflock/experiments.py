@@ -92,12 +92,23 @@ def _run_total(task: tuple[SimParams, int, int]) -> int:
         raise annotated from exc
 
 
+def _largest_first(tasks: list[tuple[SimParams, int, int]]) -> list[int]:
+    """Task indices by descending agent-ticks, ties in task order.
+
+    Submitting the longest runs first keeps a long run from starting last
+    and leaving the other workers idle at the end of the sweep.
+    """
+    cost = [(p.n_red + p.n_black) * p.ticks for p, _, _ in tasks]
+    return sorted(range(len(tasks)), key=lambda t: -cost[t])
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                    seed_fn=None) -> list[SummaryRow]:
     """Execute the sweep and aggregate each configuration's replicates.
 
-    `jobs` > 1 distributes runs over worker processes; results are reduced
-    in configuration order, so the output is identical for any job count.
+    `jobs` > 1 distributes runs over worker processes, largest first;
+    results are reduced in configuration order, so the output is identical
+    for any job count.
     `seed_fn(group, rep)` overrides the seed schedule (testing hook).
     """
     groups = seed_groups(spec)
@@ -115,9 +126,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                 keys.append((ci, b))
 
     if jobs > 1:
+        order = _largest_first(tasks)
+        totals = [0] * len(tasks)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            totals = list(pool.map(_run_total, tasks,
-                                   chunksize=max(1, len(tasks) // (jobs * 4))))
+            done = pool.map(_run_total, [tasks[t] for t in order],
+                            chunksize=max(1, len(tasks) // (jobs * 4)))
+            for t, total in zip(order, done):
+                totals[t] = total
     else:
         totals = [_run_total(t) for t in tasks]
 
@@ -201,6 +216,13 @@ def load_spec(path: str) -> ExperimentSpec:
     section per configuration whose keys are SimParams fields; `scenario`
     accepts social, random, or both (both expands to a paired pair).
     """
+    try:
+        return _load_spec(path)
+    except configparser.Error as exc:  # malformed INI: a usage error
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_spec(path: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)

@@ -160,3 +160,39 @@ def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["--world-width", "inf"],
+        ["--world-height=-inf"],
+        ["--collision-radius", "nan"],
+        ["--max-velocity", "nan"],
+        ["--sonar-range", "inf"],
+        ["--safety-distance", "nan"],
+    ])
+    def test_non_finite_parameter_exits_two(self, capsys, argv):
+        assert main(RUN_SMOKE + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_fails_before_simulating(self, capsys, monkeypatch,
+                                                       tmp_path, flag):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before opening the outputs")
+
+        monkeypatch.setattr("avflock.cli.run", no_run)
+        bad = tmp_path / "missing" / "x.csv"
+        assert main(RUN_SMOKE + [flag, str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[config:x]\nn_red = 5\nn_red = 6\n",
+                                      "n_red = 5\n"])
+    def test_malformed_spec_exits_two(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

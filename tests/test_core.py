@@ -134,6 +134,15 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(world_width=4.0, world_height=4.0, sonar_range=2.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "min_velocity", "max_velocity", "max_acceleration", "deceleration",
+        "min_safety_distance", "sonar_range", "world_width", "world_height",
+        "collision_radius"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimParams(**{name: value})
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n_red=-1)

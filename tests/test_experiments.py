@@ -281,3 +281,36 @@ scenario = social
         path.write_text("[config:x]\nn_red = 5\nscenario = chaotic\n")
         with pytest.raises(ValueError, match="scenario"):
             load_spec(str(path))
+
+    def test_duplicate_key_is_a_value_error(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("[config:x]\nn_red = 5\nn_red = 6\n")
+        with pytest.raises(ValueError, match="n_red"):
+            load_spec(str(path))
+
+    def test_missing_section_header_is_a_value_error(self, tmp_path):
+        path = tmp_path / "flat.cfg"
+        path.write_text("n_red = 5\n")
+        with pytest.raises(ValueError, match="section header"):
+            load_spec(str(path))
+
+
+class TestScheduling:
+    MIXED = (SimParams(n_red=5, n_black=5, ticks=30),
+             SimParams(n_red=20, n_black=20, ticks=30),
+             SimParams(n_red=10, n_black=10, ticks=60,
+                       scenario=Scenario.RANDOM_WALK),
+             SimParams(n_red=30, n_black=30, ticks=10))
+
+    def test_largest_first_is_descending_and_stable(self):
+        tasks = [(p, 0, ci) for ci, p in enumerate(self.MIXED) for _ in range(2)]
+        order = ex._largest_first(tasks)
+        # agent-ticks 300, 1200, 1200, 600: ties keep the task order
+        assert order == [2, 3, 4, 5, 6, 7, 0, 1]
+
+    def test_pool_with_batches_matches_sequential(self):
+        spec = ExperimentSpec("mixed", self.MIXED, repetitions=2, batches=2)
+        rows = run_experiment(spec, jobs=2)
+        assert rows == run_experiment(spec, jobs=1)
+        assert format_rows(rows) == format_rows(run_experiment(spec, jobs=1))
+        assert len(rows) == 4 * 2
