@@ -113,18 +113,29 @@ def _print_rows(rows) -> None:
 
 
 def cmd_sweep(args) -> int:
+    # unset flags are None: a builtin set keeps its defaults, and a spec
+    # file sets these values itself, so giving them with --spec is an error
+    overrides = {"--reps": ("repetitions", args.reps),
+                 "--ticks": ("ticks", args.ticks),
+                 "--base-seed": ("base_seed", args.base_seed)}
     if args.builtin:
-        spec = builtin_set(args.builtin, ticks=args.ticks,
-                           repetitions=args.reps, base_seed=args.base_seed)
+        spec = builtin_set(args.builtin, **{name: v for name, v in overrides.values()
+                                            if v is not None})
     else:
+        for flag, (_, v) in overrides.items():
+            if v is not None:
+                raise ValueError(f"{flag} applies to --builtin only; "
+                                 "set it in the spec file instead")
         spec = load_spec(args.spec)
     if args.batches != 1:
         spec = ExperimentSpec(spec.name, spec.configurations, spec.repetitions,
                               spec.base_seed, args.batches)
+    if args.out:
+        path = _out_path(args.out)
+        open(path, "w").close()  # a bad path fails before the sweep
     rows = run_experiment(spec, jobs=args.jobs)
     _print_rows(rows)
     if args.out:
-        path = _out_path(args.out)
         export_csv(rows, path)
         print(f"summary written to {path}")
     return 0
@@ -206,9 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--spec", metavar="FILE",
                        help="custom experiment file (INI schema, see README)")
     p_sweep.add_argument("--out", metavar="CSV", help="write the summary table")
-    p_sweep.add_argument("--reps", type=int, default=8)
-    p_sweep.add_argument("--base-seed", type=int, default=1000)
-    p_sweep.add_argument("--ticks", type=int, default=1000)
+    p_sweep.add_argument("--reps", type=int,
+                         help="replicates per configuration (--builtin only; default 8)")
+    p_sweep.add_argument("--base-seed", type=int,
+                         help="first seed (--builtin only; default 1000)")
+    p_sweep.add_argument("--ticks", type=int,
+                         help="ticks per run (--builtin only; default 1000)")
     p_sweep.add_argument("--batches", type=int, default=1)
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                          help="worker processes (default: logical cores)")

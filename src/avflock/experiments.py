@@ -10,9 +10,6 @@ seed = base_seed + j * repetitions + k.
 
 from __future__ import annotations
 
-import configparser
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -126,6 +123,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                 keys.append((ci, b))
 
     if jobs > 1:
+        # imported here: the pool stack (multiprocessing, pickle, socket,
+        # logging) would otherwise load on every `import avflock`
+        from concurrent.futures import ProcessPoolExecutor
+
         order = _largest_first(tasks)
         totals = [0] * len(tasks)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -139,6 +140,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     by_key: dict[tuple[int, int], list[int]] = {}
     for key, total in zip(keys, totals):
         by_key.setdefault(key, []).append(total)
+
+    import statistics  # pulls in decimal and fractions; only sweeps need it
 
     rows = []
     for ci, params in enumerate(spec.configurations):
@@ -216,6 +219,8 @@ def load_spec(path: str) -> ExperimentSpec:
     section per configuration whose keys are SimParams fields; `scenario`
     accepts social, random, or both (both expands to a paired pair).
     """
+    import configparser  # only spec files need the INI parser
+
     try:
         return _load_spec(path)
     except configparser.Error as exc:  # malformed INI: a usage error
@@ -223,6 +228,8 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def _load_spec(path: str) -> ExperimentSpec:
+    import configparser
+
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)

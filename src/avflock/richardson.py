@@ -18,7 +18,8 @@ and stability checks.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,6 +36,12 @@ class RichardsonParams:
     g2: float = 0.0
     h1: float = 0.0
     h2: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
 
     @property
     def beta1(self) -> float:
@@ -95,6 +102,8 @@ def simulate(initial: PairState, params: RichardsonParams, n: int) -> list[PairS
     """Iterate `step` n times; element 0 is the initial state (length n+1)."""
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
+    if not (math.isfinite(initial.v1) and math.isfinite(initial.v2)):
+        raise ValueError(f"initial state must be finite, got {initial}")
     out = [initial]
     s = initial
     for _ in range(n):

@@ -4,6 +4,7 @@ import pytest
 
 from avflock import __version__
 from avflock.cli import main
+from avflock.experiments import builtin_set, format_rows, run_experiment
 
 RUN_SMOKE = ["run", "--scenario", "social", "--red", "10", "--black", "10",
              "--seed", "1", "--ticks", "50"]
@@ -82,6 +83,13 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--builtin", "set1", "--spec", "x.cfg"])
         assert exc.value.code == 2
+
+    def test_out_equals_library_csv(self, tmp_path):
+        # unset --base-seed keeps the builtin default of 1000
+        path = tmp_path / "set1.csv"
+        assert main(self.ARGS + ["--out", str(path)]) == 0
+        spec = builtin_set("set1", ticks=5, repetitions=2, base_seed=1000)
+        assert path.read_text() == format_rows(run_experiment(spec))
 
     def test_spec_file_sweep(self, capsys, tmp_path):
         cfg = tmp_path / "mini.cfg"
@@ -187,6 +195,36 @@ class TestBadInput:
         bad = tmp_path / "missing" / "x.csv"
         assert main(RUN_SMOKE + [flag, str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_sweep_unwritable_output_fails_before_sweeping(self, capsys, monkeypatch,
+                                                           tmp_path):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before opening the output")
+
+        monkeypatch.setattr("avflock.cli.run_experiment", no_sweep)
+        bad = tmp_path / "missing" / "x.csv"
+        assert main(TestSweep.ARGS + ["--out", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--reps", "--ticks", "--base-seed"])
+    def test_builtin_only_flag_with_spec_exits_two(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text("[config:a]\nn_red = 5\nn_black = 5\nticks = 10\n")
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1", flag, "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    def test_negative_sonar_range_exits_two(self, capsys):
+        assert main(RUN_SMOKE + ["--sonar-range", "-1"]) == 2
+        assert "sonar_range must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--alpha1", "nan"], ["--delta2", "inf"],
+                                      ["--h1=-inf"], ["--v1", "nan"],
+                                      ["--v2", "inf"]])
+    def test_non_finite_richardson_input_exits_two(self, capsys, argv):
+        assert main(["richardson", "--steps", "3"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
 
     @pytest.mark.parametrize("text", ["[config:x]\nn_red = 5\nn_red = 6\n",
                                       "n_red = 5\n"])

@@ -143,6 +143,10 @@ class TestSimParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimParams(**{name: value})
 
+    def test_negative_sonar_range_rejected(self):
+        with pytest.raises(ValueError, match="sonar_range must be non-negative"):
+            SimParams(sonar_range=-1.0)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n_red=-1)

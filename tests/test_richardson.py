@@ -1,5 +1,6 @@
 """Analytic pair-dynamics contracts, checked against independent oracles."""
 
+import math
 import random
 
 import numpy as np
@@ -85,6 +86,17 @@ class TestStep:
         assert traj[3] == PairState(2.3125, 2.3125)
 
 
+class TestParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta1", "delta2", "alpha1", "alpha2",
+                                      "g1", "g2", "h1", "h2"])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        kwargs = dict(delta1=0.25, delta2=0.25, alpha1=-0.5, alpha2=-0.5)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RichardsonParams(**kwargs)
+
+
 class TestSimulate:
     def test_zero_steps(self):
         s = PairState(2.0, 5.0)
@@ -97,6 +109,13 @@ class TestSimulate:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             simulate(PairState(0, 0), SYM, -1)
+
+    @pytest.mark.parametrize("state", [PairState(math.nan, 0.0),
+                                       PairState(0.0, math.inf),
+                                       PairState(-math.inf, 1.0)])
+    def test_non_finite_initial_state_rejected(self, state):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            simulate(state, SYM, 3)
 
     def test_linearity_when_goal_terms_zero(self):
         rng = random.Random(23)
