@@ -12,18 +12,15 @@ import argparse
 import contextlib
 import os
 import sys
-import warnings
+from dataclasses import fields
+from enum import Enum
 
 from . import __version__
-from .core import CollisionRule, Scenario, SimParams
+from .core import Scenario, SimParams, from_text, text_names, typed_fields
 from .engine import run
 from .experiments import (ExperimentSpec, builtin_set, efficiency, export_csv,
                           load_spec, run_experiment)
 from .richardson import PairState, RichardsonParams, fixed_point, simulate, stability
-
-_SCENARIO_FLAGS = {"social": Scenario.ALL_SOCIAL_AVS, "random": Scenario.RANDOM_WALK}
-_RULE_FLAGS = {r.value: r for r in CollisionRule}
-
 
 def _out_path(path: str) -> str:
     """Resolve an output path; AVFLOCK_OUT_DIR prefixes relative paths."""
@@ -33,49 +30,54 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, with_scenario: bool) -> None:
-    with warnings.catch_warnings():
-        # defaults are the benchmark profile; only user-chosen values warn
-        warnings.simplefilter("ignore")
-        d = SimParams()
-    g = parser.add_argument_group("simulation parameters")
-    g.add_argument("--red", type=int, default=d.n_red, metavar="N",
-                   help="number of red vehicles (default %(default)s)")
-    g.add_argument("--black", type=int, default=d.n_black, metavar="N",
-                   help="number of black vehicles (default %(default)s)")
-    if with_scenario:
-        g.add_argument("--scenario", choices=sorted(_SCENARIO_FLAGS),
-                       default="social", help="behavior mode (default %(default)s)")
-    g.add_argument("--min-velocity", type=float, default=d.min_velocity)
-    g.add_argument("--max-velocity", type=float, default=d.max_velocity)
-    g.add_argument("--max-acceleration", type=float, default=d.max_acceleration)
-    g.add_argument("--deceleration", type=float, default=d.deceleration)
-    g.add_argument("--safety-distance", type=float, default=d.min_safety_distance,
-                   help="threat threshold on nearest-neighbor distance, m")
-    g.add_argument("--sonar-range", type=float, default=d.sonar_range)
-    g.add_argument("--world-width", type=float, default=d.world_width)
-    g.add_argument("--world-height", type=float, default=d.world_height)
-    g.add_argument("--collision-radius", type=float, default=d.collision_radius)
-    g.add_argument("--ticks", type=int, default=d.ticks)
-    g.add_argument("--collision-rule", choices=sorted(_RULE_FLAGS), default="pair",
-                   help="how proximity events are counted (default %(default)s)")
-    g.add_argument("--literal", action="store_true",
-                   help="verbatim update rules: same-tick re-acceleration after "
-                        "a mirror and additive random-walk slowdown")
+def _flag_type(f, kind):
+    """The argparse `type` of field `f`'s flag: the spec-file parser, with
+    its message for a bad value."""
+    def parse(text: str):
+        try:
+            return from_text(f, kind, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _params_from(args, scenario: Scenario, seed: int = 0) -> SimParams:
-    return SimParams(
-        n_red=args.red, n_black=args.black,
-        min_velocity=args.min_velocity, max_velocity=args.max_velocity,
-        max_acceleration=args.max_acceleration, deceleration=args.deceleration,
-        min_safety_distance=args.safety_distance, sonar_range=args.sonar_range,
-        scenario=scenario,
-        world_width=args.world_width, world_height=args.world_height,
-        collision_radius=args.collision_radius, ticks=args.ticks, seed=seed,
-        collision_rule=_RULE_FLAGS[args.collision_rule],
-        literal_rules=args.literal,
-    )
+def _add_param_flags(parser: argparse.ArgumentParser, exclude=()) -> None:
+    """One flag per SimParams field not in `exclude`.
+
+    Flags default to SUPPRESS, so the parsed namespace holds only the values
+    the user gave and SimParams supplies the rest.
+    """
+    g = parser.add_argument_group("simulation parameters",
+                                  argument_default=argparse.SUPPRESS)
+    for f, kind in typed_fields(SimParams):
+        if f.name in exclude:
+            continue
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        help_text = f.metadata.get("help")
+        if kind is bool:
+            g.add_argument(flag, dest=f.name, action="store_true", help=help_text)
+            continue
+        metavar, default = kind.__name__.upper(), f.default
+        if issubclass(kind, Enum):
+            names = text_names(f, kind)
+            metavar = "{" + ",".join(sorted(names)) + "}"
+            default = next(n for n, m in names.items() if m is f.default)
+        g.add_argument(flag, dest=f.name, type=_flag_type(f, kind), metavar=metavar,
+                       help=f"{help_text or ''} (default {default})".lstrip())
+
+
+def _params_from(args, **fixed) -> SimParams:
+    """SimParams from the flags the user gave plus `fixed`."""
+    return SimParams.from_given({f.name: getattr(args, f.name)
+                                 for f in fields(SimParams) if hasattr(args, f.name)},
+                                **fixed)
+
+
+def _jobs(text: str) -> int:
+    """The --jobs worker count: an int of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
+    return int(text)
 
 
 def _open_out(path: str):
@@ -83,12 +85,12 @@ def _open_out(path: str):
 
 
 def cmd_run(args) -> int:
-    params = _params_from(args, _SCENARIO_FLAGS[args.scenario], args.seed)
+    params = _params_from(args)
     with contextlib.ExitStack() as stack:
         # open the outputs first: a bad path fails before the simulation
         trace_fh = stack.enter_context(_open_out(args.trace)) if args.trace else None
         out_fh = stack.enter_context(_open_out(args.out)) if args.out else None
-        result = run(params, args.seed, trace=trace_fh)
+        result = run(params, params.seed, trace=trace_fh)
         red, black = result.per_team_collisions
         print(f"total collisions: {result.total_collisions} "
               f"(red {red}, black {black}) over {params.ticks} ticks, "
@@ -142,16 +144,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    social = _params_from(args, Scenario.ALL_SOCIAL_AVS)
-    rnd = _params_from(args, Scenario.RANDOM_WALK)
+    social = _params_from(args, scenario=Scenario.ALL_SOCIAL_AVS)
+    rnd = _params_from(args, scenario=Scenario.RANDOM_WALK)
     spec = ExperimentSpec("compare", (social, rnd),
                           repetitions=args.reps, base_seed=args.base_seed)
     rows = run_experiment(spec, jobs=args.jobs)
     by_scenario = {r.scenario: r for r in rows}
     s = by_scenario[Scenario.ALL_SOCIAL_AVS]
     r = by_scenario[Scenario.RANDOM_WALK]
-    print(f"configuration: {args.red} red + {args.black} black, "
-          f"{args.ticks} ticks, {args.reps} paired replicates")
+    print(f"configuration: {social.n_red} red + {social.n_black} black, "
+          f"{social.ticks} ticks, {args.reps} paired replicates")
     for row in (s, r):
         print(f"{row.scenario.value:<13}: mean {row.mean_collisions:.2f}  "
               f"stdev {row.stdev_collisions:.2f}  (n={row.n})")
@@ -203,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one simulation run")
-    _add_param_flags(p_run, with_scenario=True)
-    p_run.add_argument("--seed", type=int, default=0)
+    _add_param_flags(p_run)
     p_run.add_argument("--out", metavar="CSV", help="write per-tick collision counts")
     p_run.add_argument("--trace", metavar="PATH",
                        help="write a per-agent per-tick trace log")
@@ -224,16 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ticks", type=int,
                          help="ticks per run (--builtin only; default 1000)")
     p_sweep.add_argument("--batches", type=int, default=1)
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p_sweep.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                          help="worker processes (default: logical cores)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare",
                            help="run both scenarios paired and report efficiency")
-    _add_param_flags(p_cmp, with_scenario=False)
+    _add_param_flags(p_cmp, exclude=("seed", "scenario"))
     p_cmp.add_argument("--reps", type=int, default=8)
     p_cmp.add_argument("--base-seed", type=int, default=1000)
-    p_cmp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_cmp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rich = sub.add_parser(

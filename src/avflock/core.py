@@ -8,11 +8,13 @@ clockwise-from-north convention: 0 points along +y, 90 along +x.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Collection, Mapping
+from dataclasses import Field, dataclass, field, fields, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 
 class Team(Enum):
@@ -123,52 +125,101 @@ def forward(agent: AgentState, width: float, height: float) -> AgentState:
     return replace(agent, x=nx, y=ny)
 
 
-# slider ranges from the simulator this model was calibrated against;
-# violations warn rather than fail because the benchmark configurations
-# themselves sit outside some of them
-_SLIDER_RANGES = {
-    "n_red": (0, 100),
-    "n_black": (0, 100),
-    "min_velocity": (0.0, 0.5),
-    "max_velocity": (0.6, 1.0),
-    "max_acceleration": (0.0, 0.1),
-    "deceleration": (0.1, 0.5),
-    "min_safety_distance": (1.5, 5.0),
-    "sonar_range": (0.0, 10.0),
-}
+_BOOL_WORDS = {"1": True, "yes": True, "true": True, "on": True,
+               "0": False, "no": False, "false": False, "off": False}
+
+# the scenarios' names on the command line and in spec files
+SCENARIO_NAMES = {"social": Scenario.ALL_SOCIAL_AVS, "random": Scenario.RANDOM_WALK}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a bool is only a bool and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+@functools.cache
+def typed_fields(cls: type) -> tuple[tuple[Field, type], ...]:
+    """The fields of dataclass `cls`, each with its resolved annotation."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def text_names(f: Field, kind: type[Enum]) -> dict[str, Enum]:
+    """How an enum field's members are spelled in flags and spec files: the
+    field's `names` metadata, else each member's value."""
+    return f.metadata.get("names") or {m.value: m for m in kind}
+
+
+def from_text(f: Field, kind: type, text: str):
+    """Parse `text` as a value of field `f`, whose type is `kind`."""
+    if kind is bool:
+        if text.lower() in _BOOL_WORDS:
+            return _BOOL_WORDS[text.lower()]
+        raise ValueError(f"{f.name} must be true or false, got {text!r}")
+    if issubclass(kind, Enum):
+        names = text_names(f, kind)
+        if text in names:
+            return names[text]
+        raise ValueError(f"{f.name} must be one of {', '.join(sorted(names))}, "
+                         f"got {text!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{f.name} must be {kind.__name__}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
 class SimParams:
     """Full configuration of one run: the nine behavior sliders plus the
-    engine-level settings (world size, tick budget, collision radius, seed)."""
+    engine-level settings (world size, tick budget, collision radius, seed).
 
-    n_red: int = 40
-    n_black: int = 40
-    min_velocity: float = 0.3
-    max_velocity: float = 0.3
-    max_acceleration: float = 0.1
-    deceleration: float = 0.1
-    min_safety_distance: float = 1.0
-    sonar_range: float = 2.5
-    scenario: Scenario = Scenario.ALL_SOCIAL_AVS
+    This class is the parameter schema: the CLI flags, the spec-file keys and
+    the type checks are all derived from these fields. Metadata: `flag` is a
+    CLI spelling other than `--field-name`, `help` the flag's help text,
+    `slider` the range of the simulator this model was calibrated against
+    (outside it a value warns rather than fails, because the benchmark
+    configurations themselves sit outside some of them), and `names` an enum
+    field's spellings other than its members' values.
+    """
+
+    n_red: int = field(default=40, metadata={
+        "flag": "--red", "help": "number of red vehicles", "slider": (0, 100)})
+    n_black: int = field(default=40, metadata={
+        "flag": "--black", "help": "number of black vehicles", "slider": (0, 100)})
+    min_velocity: float = field(default=0.3, metadata={"slider": (0.0, 0.5)})
+    max_velocity: float = field(default=0.3, metadata={"slider": (0.6, 1.0)})
+    max_acceleration: float = field(default=0.1, metadata={"slider": (0.0, 0.1)})
+    deceleration: float = field(default=0.1, metadata={"slider": (0.1, 0.5)})
+    min_safety_distance: float = field(default=1.0, metadata={
+        "flag": "--safety-distance",
+        "help": "threat threshold on nearest-neighbor distance, m",
+        "slider": (1.5, 5.0)})
+    sonar_range: float = field(default=2.5, metadata={"slider": (0.0, 10.0)})
+    scenario: Scenario = field(default=Scenario.ALL_SOCIAL_AVS, metadata={
+        "help": "behavior mode", "names": SCENARIO_NAMES})
     world_width: float = 100.0
     world_height: float = 100.0
     collision_radius: float = 1.0
     ticks: int = 1000
     seed: int = 0
-    collision_rule: CollisionRule = CollisionRule.PAIR_ENTRY
-    # verbatim-transcription mode: re-accelerate in the same tick as a mirror
-    # and make the random-walk slowdown additive (see README)
-    literal_rules: bool = False
+    collision_rule: CollisionRule = field(default=CollisionRule.PAIR_ENTRY, metadata={
+        "help": "how proximity events are counted"})
+    literal_rules: bool = field(default=False, metadata={
+        "flag": "--literal",
+        "help": "verbatim update rules: same-tick re-acceleration after a "
+                "mirror and additive random-walk slowdown (see README)"})
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
         """Raise on malformed settings, warn on out-of-slider-range values."""
-        for f in fields(self):
+        for f, kind in typed_fields(type(self)):
             v = getattr(self, f.name)
+            if not _is_a(v, kind):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v}")
         if self.ticks < 1:
@@ -191,12 +242,27 @@ class SimParams:
             raise ValueError("acceleration rates must be non-negative")
         if self.min_safety_distance < 0:
             raise ValueError("min_safety_distance must be non-negative")
-        for name, (lo, hi) in _SLIDER_RANGES.items():
-            v = getattr(self, name)
-            if not lo <= v <= hi:
-                warnings.warn(
-                    f"{name}={v} outside the slider range [{lo}, {hi}]",
-                    ParamRangeWarning, stacklevel=2)
+        self._warn_outside_sliders({f.name for f in fields(self)})
+
+    @classmethod
+    def from_given(cls, given: Mapping[str, object], **fixed) -> SimParams:
+        """Build from the values a user gave plus `fixed` ones; unlike the
+        constructor, only the given values warn when outside a slider range."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParamRangeWarning)
+            params = cls(**given, **fixed)
+        params._warn_outside_sliders(given)
+        return params
+
+    def _warn_outside_sliders(self, names: Collection[str]) -> None:
+        for f in fields(self):
+            if f.name in names and "slider" in f.metadata:
+                lo, hi = f.metadata["slider"]
+                v = getattr(self, f.name)
+                if not lo <= v <= hi:
+                    warnings.warn(
+                        f"{f.name}={v} outside the slider range [{lo}, {hi}]",
+                        ParamRangeWarning, stacklevel=2)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .core import CollisionRule, Scenario, SimParams
+from .core import SCENARIO_NAMES, Scenario, SimParams, from_text, typed_fields
 from .engine import run
 
 _CSV_HEADER = ("set,config_id,scenario,n_red,n_black,min_vel,max_vel,"
@@ -44,6 +44,11 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
+        # identical configurations would give indistinguishable rows
+        first: dict[SimParams, int] = {}
+        for i, params in enumerate(self.configurations):
+            if first.setdefault(params, i) != i:
+                raise ValueError(f"configurations {first[params]} and {i} are identical")
 
 
 @dataclass(frozen=True)
@@ -99,15 +104,15 @@ def _largest_first(tasks: list[tuple[SimParams, int, int]]) -> list[int]:
     return sorted(range(len(tasks)), key=lambda t: -cost[t])
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1,
-                   seed_fn=None) -> list[SummaryRow]:
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryRow]:
     """Execute the sweep and aggregate each configuration's replicates.
 
     `jobs` > 1 distributes runs over worker processes, largest first;
     results are reduced in configuration order, so the output is identical
     for any job count.
-    `seed_fn(group, rep)` overrides the seed schedule (testing hook).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     groups = seed_groups(spec)
     n_groups = max(groups) + 1
     tasks: list[tuple[SimParams, int, int]] = []
@@ -115,10 +120,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     for ci, params in enumerate(spec.configurations):
         for b in range(spec.batches):
             for k in range(spec.repetitions):
-                if seed_fn is not None:
-                    seed = seed_fn(groups[ci], k)
-                else:
-                    seed = _seed(spec, n_groups, groups[ci], k, b)
+                seed = _seed(spec, n_groups, groups[ci], k, b)
                 tasks.append((params, seed, groups[ci]))
                 keys.append((ci, b))
 
@@ -200,24 +202,13 @@ def builtin_set(which: str, ticks: int = 1000, repetitions: int = 8,
                           repetitions=repetitions, base_seed=base_seed)
 
 
-_SCENARIOS = {
-    "social": (Scenario.ALL_SOCIAL_AVS,),
-    "random": (Scenario.RANDOM_WALK,),
-    "both": (Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK),
-}
-
-_INT_FIELDS = {"n_red", "n_black", "ticks", "seed"}
-_FLOAT_FIELDS = {"min_velocity", "max_velocity", "max_acceleration",
-                 "deceleration", "min_safety_distance", "sonar_range",
-                 "world_width", "world_height", "collision_radius"}
-
-
 def load_spec(path: str) -> ExperimentSpec:
     """Read an ExperimentSpec from an INI-style file (schema in README).
 
-    One [experiment] section (name, repetitions, base_seed, batches) and one
-    section per configuration whose keys are SimParams fields; `scenario`
-    accepts social, random, or both (both expands to a paired pair).
+    One [experiment] section whose keys are ExperimentSpec fields (name,
+    repetitions, base_seed, batches) and one section per configuration whose
+    keys are SimParams fields other than `seed`; `scenario` accepts social,
+    random, or both (the default: a paired pair).
     """
     import configparser  # only spec files need the INI parser
 
@@ -227,46 +218,51 @@ def load_spec(path: str) -> ExperimentSpec:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _parse_section(section: str, items, cls: type, exclude: str) -> dict:
+    """A spec section's values, each parsed by the type of the `cls` field
+    it names; a key naming no field, or naming `exclude`, is an error."""
+    schema = {f.name: (f, kind) for f, kind in typed_fields(cls) if f.name != exclude}
+    values = {}
+    for key, text in items.items():
+        if key not in schema:
+            raise ValueError(f"[{section}] unknown parameter {key!r}")
+        try:
+            values[key] = from_text(*schema[key], text)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from None
+    return values
+
+
 def _load_spec(path: str) -> ExperimentSpec:
     import configparser
 
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    name = exp.get("name", "custom")
-    repetitions = int(exp.get("repetitions", 8))
-    base_seed = int(exp.get("base_seed", 1000))
-    batches = int(exp.get("batches", 1))
-    configs: list[SimParams] = []
+    settings = {"name": "custom"}
+    section_of: dict[SimParams, str] = {}  # each configuration, in file order
     for section in parser.sections():
+        items = dict(parser[section])
         if section == "experiment":
+            settings.update(_parse_section(section, items, ExperimentSpec,
+                                           exclude="configurations"))
             continue
-        fields = {}
-        scenarios = _SCENARIOS["both"]
-        for key, raw in parser[section].items():
-            if key == "scenario":
-                if raw not in _SCENARIOS:
-                    raise ValueError(
-                        f"[{section}] scenario must be social, random or both, got {raw!r}")
-                scenarios = _SCENARIOS[raw]
-            elif key == "collision_rule":
-                fields[key] = CollisionRule(raw)
-            elif key == "literal_rules":
-                fields[key] = parser[section].getboolean(key)
-            elif key in _INT_FIELDS:
-                fields[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                fields[key] = float(raw)
-            else:
-                raise ValueError(f"[{section}] unknown parameter {key!r}")
-        for scenario in scenarios:
-            configs.append(SimParams(scenario=scenario, **fields))
-    if not configs:
+        if "seed" in items:
+            raise ValueError(f"[{section}] seed is set per replicate by the "
+                             "seed schedule; set [experiment] base_seed instead")
+        paired = items.get("scenario", "both") == "both"
+        if paired:
+            items.pop("scenario", None)
+        values = _parse_section(section, items, SimParams, exclude="seed")
+        for scenario in SCENARIO_NAMES.values() if paired else [values.pop("scenario")]:
+            params = SimParams.from_given(values, scenario=scenario)
+            if params in section_of:
+                raise ValueError(f"{path}: [{section_of[params]}] and [{section}] "
+                                 "are identical configurations")
+            section_of[params] = section
+    if not section_of:
         raise ValueError(f"{path}: no configuration sections found")
-    return ExperimentSpec(name=name, configurations=tuple(configs),
-                          repetitions=repetitions, base_seed=base_seed,
-                          batches=batches)
+    return ExperimentSpec(configurations=tuple(section_of), **settings)
 
 
 def format_rows(rows: list[SummaryRow]) -> str:

@@ -1,10 +1,16 @@
 """CLI surface: flag parsing, exit codes, determinism, file emission."""
 
+import argparse
+import types
+from enum import Enum
+
 import pytest
 
+import avflock.cli as cli
 from avflock import __version__
-from avflock.cli import main
-from avflock.experiments import builtin_set, format_rows, run_experiment
+from avflock.cli import build_parser, main
+from avflock.core import ParamRangeWarning, SimParams, text_names, typed_fields
+from avflock.experiments import builtin_set, format_rows, load_spec, run_experiment
 
 RUN_SMOKE = ["run", "--scenario", "social", "--red", "10", "--black", "10",
              "--seed", "1", "--ticks", "50"]
@@ -234,3 +240,108 @@ class TestBadInput:
         assert main(["sweep", "--spec", str(cfg), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--builtin", "set1", "--jobs", "-3"],
+        ["sweep", "--builtin", "set1", "--jobs", "two"],
+        ["compare", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --jobs: must be an int >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ticks", "1.5"], "argument --ticks: ticks must be int, got '1.5'"),
+        (["--red", "true"], "argument --red: n_red must be int, got 'true'"),
+        (["--scenario", "both"], "scenario must be one of random, social, got 'both'"),
+    ])
+    def test_wrong_type_flag_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, names", [
+        ("[config:x]\nn_red = 5\nseed = 99\n", ["[config:x] seed", "base_seed"]),
+        ("[experiment]\nreps = 3\n[config:x]\nn_red = 5\n", ["'reps'"]),
+        ("[config:a]\nn_red = 5\n[config:b]\nn_red = 5\n", ["[config:a]", "[config:b]"]),
+    ], ids=["seed", "experiment-key", "identical"])
+    def test_spec_schema_violation_exits_two(self, capsys, tmp_path, text, names):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert all(name in err for name in names)
+
+
+class TestRangeWarnings:
+    def _range_warnings(self, recwarn):
+        return [str(w.message) for w in recwarn if w.category is ParamRangeWarning]
+
+    def test_default_run_does_not_warn(self, recwarn):
+        assert main(["run", "--ticks", "5"]) == 0
+        assert self._range_warnings(recwarn) == []
+
+    def test_given_out_of_range_value_warns_once(self, recwarn):
+        assert main(["run", "--ticks", "5", "--max-velocity", "0.3"]) == 0
+        assert self._range_warnings(recwarn) == [
+            "max_velocity=0.3 outside the slider range [0.6, 1.0]"]
+
+
+def _actions(command: str) -> list[argparse.Action]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._actions
+
+
+class TestSchema:
+    PARAM_OPTIONS = {"--red", "--black", "--min-velocity", "--max-velocity",
+                     "--max-acceleration", "--deceleration", "--safety-distance",
+                     "--sonar-range", "--world-width", "--world-height",
+                     "--collision-radius", "--ticks", "--collision-rule", "--literal"}
+
+    def test_run_and_compare_options_pinned(self):
+        def options(command):
+            return {o for a in _actions(command) for o in a.option_strings}
+
+        assert options("run") == self.PARAM_OPTIONS | {
+            "-h", "--help", "--scenario", "--seed", "--out", "--trace"}
+        assert options("compare") == self.PARAM_OPTIONS | {
+            "-h", "--help", "--reps", "--base-seed", "--jobs"}
+
+    @pytest.mark.filterwarnings("ignore::avflock.core.ParamRangeWarning")
+    @pytest.mark.parametrize("f, kind", typed_fields(SimParams),
+                             ids=[f.name for f, _ in typed_fields(SimParams)])
+    def test_flag_and_spec_key_give_the_same_params(self, monkeypatch, tmp_path,
+                                                    f, kind):
+        # a valid non-default value of every field, as text
+        if kind is bool:
+            text = "true"
+        elif issubclass(kind, Enum):
+            text = next(n for n, m in text_names(f, kind).items() if m is not f.default)
+        else:
+            text = str(f.default + kind(1))
+
+        seen = []
+
+        def fake_run(params, seed, trace=None):
+            seen.append(params)
+            return types.SimpleNamespace(total_collisions=0, per_team_collisions=(0, 0),
+                                         seed=seed)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        flag = next(a.option_strings[0] for a in _actions("run") if a.dest == f.name)
+        assert main(["run", flag] + ([] if kind is bool else [text])) == 0
+        (from_flag,) = seen
+        assert getattr(from_flag, f.name) != f.default
+
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"[config:x]\n{f.name} = {text}\n")
+        if f.name == "seed":  # replicate seeds come from [experiment] base_seed
+            with pytest.raises(ValueError, match="base_seed"):
+                load_spec(str(cfg))
+        else:
+            assert load_spec(str(cfg)).configurations[0] == from_flag

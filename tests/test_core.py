@@ -150,3 +150,14 @@ class TestSimParams:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n_red=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_red", True), ("ticks", 1.5), ("n_black", "5"), ("seed", 2.0),
+        ("min_velocity", True), ("sonar_range", "2.5"), ("literal_rules", 1),
+        ("scenario", "social"), ("collision_rule", "pair")])
+    def test_wrong_type_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be "):
+            SimParams(**{name: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert SimParams(world_width=200, sonar_range=0).world_width == 200

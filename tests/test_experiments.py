@@ -1,12 +1,13 @@
 """Sweep harness contracts: builtin sets, seed schedule, aggregation, CSV."""
 
 import dataclasses
+import re
 import statistics
 
 import pytest
 
 import avflock.experiments as ex
-from avflock.core import Scenario, SimParams
+from avflock.core import ParamRangeWarning, Scenario, SimParams
 from avflock.engine import run
 from avflock.experiments import (ExperimentSpec, builtin_set, efficiency,
                                  export_csv, format_rows, load_spec,
@@ -74,14 +75,15 @@ class TestSeedSchedule:
                  for g in range(5) for k in range(8) for b in range(3)}
         assert len(seeds) == 5 * 8 * 3
 
-    def test_paired_scenarios_replay_identical_seeds(self):
+    def test_paired_scenarios_replay_identical_seeds(self, monkeypatch):
         calls = []
 
-        def recorder(group, rep):
+        def recorder(spec, n_groups, group, rep, batch):
             calls.append((group, rep))
             return 77000 + group * 100 + rep
 
-        run_experiment(ExperimentSpec("s", SMALL.configurations, 2), seed_fn=recorder)
+        monkeypatch.setattr(ex, "_seed", recorder)
+        run_experiment(ExperimentSpec("s", SMALL.configurations, 2))
         # every (group, rep) pair must occur exactly twice: once per scenario
         from collections import Counter
         counts = Counter(calls)
@@ -118,9 +120,10 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         assert all(r.stdev_collisions == 0.0 and r.n == 1 for r in rows)
 
-    def test_forced_equal_seeds_give_zero_stdev(self):
+    def test_forced_equal_seeds_give_zero_stdev(self, monkeypatch):
         spec = ExperimentSpec("dup", SMALL.configurations[:2], repetitions=8)
-        rows = run_experiment(spec, seed_fn=lambda g, k: 42)
+        monkeypatch.setattr(ex, "_seed", lambda spec, n_groups, g, k, b: 42)
+        rows = run_experiment(spec)
         assert all(r.stdev_collisions == 0.0 for r in rows)
 
     def test_hand_statistics_example(self, monkeypatch):
@@ -159,6 +162,18 @@ class TestRunExperiment:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec("x", (SimParams(ticks=1),), repetitions=0)
+
+    def test_identical_configurations_rejected(self):
+        a, b = SimParams(ticks=1), SimParams(ticks=2)
+        with pytest.raises(ValueError, match="configurations 0 and 2 are identical"):
+            ExperimentSpec("x", (a, b, a))
+        # a paired configuration differs by scenario and stays legal
+        ExperimentSpec("x", (a, dataclasses.replace(a, scenario=Scenario.RANDOM_WALK)))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(SMALL, jobs=jobs)
 
 
 class TestEfficiency:
@@ -292,6 +307,51 @@ scenario = social
         path = tmp_path / "flat.cfg"
         path.write_text("n_red = 5\n")
         with pytest.raises(ValueError, match="section header"):
+            load_spec(str(path))
+
+    def test_seed_key_points_to_base_seed(self, tmp_path):
+        path = tmp_path / "seed.cfg"
+        path.write_text("[config:x]\nn_red = 5\nseed = 99\n")
+        with pytest.raises(ValueError, match=r"\[config:x\] seed .*\[experiment\] base_seed"):
+            load_spec(str(path))
+
+    def test_unknown_experiment_key_rejected(self, tmp_path):
+        path = tmp_path / "reps.cfg"
+        path.write_text("[experiment]\nreps = 3\n[config:x]\nn_red = 5\n")
+        with pytest.raises(ValueError, match=r"\[experiment\] unknown parameter 'reps'"):
+            load_spec(str(path))
+
+    def test_identical_sections_rejected(self, tmp_path):
+        path = tmp_path / "same.cfg"
+        path.write_text("[config:a]\nn_red = 5\nsonar_range = 2\n"
+                        "[config:b]\nsonar_range = 2.00\nn_red = 5\n")
+        with pytest.raises(ValueError, match=r"\[config:a\] and \[config:b\]"):
+            load_spec(str(path))
+        # a paired social/random configuration differs by scenario and stays legal
+        path.write_text("[config:a]\nn_red = 5\nscenario = social\n"
+                        "[config:b]\nn_red = 5\nscenario = random\n")
+        assert len(load_spec(str(path)).configurations) == 2
+
+    def test_only_given_values_warn(self, tmp_path, recwarn):
+        path = tmp_path / "warn.cfg"
+        path.write_text("[config:x]\nn_red = 5\nscenario = social\n")
+        load_spec(str(path))  # defaults max_velocity 0.3, min_safety_distance 1.0
+        path.write_text("[config:x]\nmax_velocity = 0.2\nscenario = social\n")
+        load_spec(str(path))
+        assert [str(w.message) for w in recwarn if w.category is ParamRangeWarning] == [
+            "max_velocity=0.2 outside the slider range [0.6, 1.0]"]
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("config:x", "ticks = 1.5", "ticks must be int, got '1.5'"),
+        ("config:x", "n_red = true", "n_red must be int"),
+        ("config:x", "literal_rules = maybe", "literal_rules must be true or false"),
+        ("config:x", "collision_rule = pairs", "collision_rule must be one of"),
+        ("experiment", "repetitions = 2.5", "repetitions must be int"),
+    ])
+    def test_values_parsed_by_field_type(self, tmp_path, section, line, message):
+        path = tmp_path / "typed.cfg"
+        path.write_text(f"[{section}]\n{line}\n[config:y]\nn_red = 5\n")
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {message}")):
             load_spec(str(path))
 
 
