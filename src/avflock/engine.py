@@ -12,10 +12,22 @@ tick makes one half-shell pass over unordered agent pairs
 (SpatialGrid.scan). It yields the colliding pairs and each agent's nearest
 neighbor within min(sonar_range, min_safety_distance), which is all a social
 decision reads: the nearest agent within sonar range is a threat exactly
-when it lies within that cut. The per-agent functions (social_step,
-random_walk_step, displace, detect_collisions, SpatialGrid.candidates) are
-the reference the tick reproduces bit for bit; the tests replay them as its
-oracle.
+when it lies within that cut.
+
+Mirroring a threatening neighbor at reduced speed stops social agents, and
+stopped agents pile into clusters. An agent with speed 0 does not move, so
+its distances to other stopped agents repeat bit for bit. On social ticks
+where at least half the agents are stopped before the move, StaticCache
+keeps the stopped agents' colliding pairs and nearest stopped neighbors
+across ticks and measures only the pairs with a mover in them; it yields
+exactly what SpatialGrid.scan yields. Below half, the cache would cost more
+than it saves: the tick rebuilds and scans, and the cache is dropped. The
+random walk always rebuilds and scans; its speed floor is min_velocity, so
+with a positive floor nothing in it stops.
+
+The per-agent functions (social_step, random_walk_step, displace,
+detect_collisions, SpatialGrid.candidates) are the reference the tick
+reproduces bit for bit; the tests replay them as its oracle.
 
 All randomness flows through one seeded generator consumed in agent-id
 order, which makes run(params, seed) referentially transparent.
@@ -80,6 +92,30 @@ class SpatialGrid:
                 buckets[key] = [a.id]
             else:
                 b.append(a.id)
+
+    def key(self, x: float, y: float) -> int:
+        """The bucket key of the cell holding the wrapped position (x, y)."""
+        cx = int(x * self._sx)
+        cy = int(y * self._sy)
+        if cx >= self.nx:  # canonical x < width, but the product can round up
+            cx = self.nx - 1
+        if cy >= self.ny:
+            cy = self.ny - 1
+        return cx * self.ny + cy
+
+    def ring(self, key: int) -> tuple[int, ...]:
+        """The distinct keys of the 3x3 wrapped neighborhood of cell `key`.
+
+        Interior cells compute theirs; only the cells whose stencil wraps
+        are memoized, so the memo grows with the perimeter, not the area.
+        """
+        ny = self.ny
+        cx, cy = divmod(key, ny)
+        if 0 < cx < self.nx - 1 and 0 < cy < ny - 1:
+            w = key - ny
+            e = key + ny
+            return (w - 1, w, w + 1, key - 1, key, key + 1, e - 1, e, e + 1)
+        return self._hood(cx, cy)
 
     def _hood(self, cx: int, cy: int) -> tuple[int, ...]:
         key = cx * self.ny + cy
@@ -207,6 +243,199 @@ class SpatialGrid:
         return pairs, near
 
 
+class StaticCache:
+    """The pairs of the stopped agents, kept across social ticks.
+
+    An agent with speed 0 does not move, so the distance between two
+    stopped agents is bit-unchanged from tick to tick. The cache holds
+    buckets of all agents on the grid's cells, the colliding pairs among
+    the static agents (those stopped since they were linked) and each
+    static agent's nearest static neighbor within the cut as (d, id). A
+    tick then measures only the pairs with a mover in them, and `scan`
+    returns what SpatialGrid.scan returns over every pair.
+    """
+
+    __slots__ = ("grid", "buckets", "cells", "static", "n_static", "pairs",
+                 "best", "near", "xs", "ys")
+
+    def __init__(self, grid: SpatialGrid, xs: list[float], ys: list[float]):
+        """Bucket every agent at (xs, ys), by id; none is static yet."""
+        self.grid = grid
+        self.buckets: dict[int, list[int]] = {}
+        self.cells = [grid.key(x, y) for x, y in zip(xs, ys)]
+        for i, key in enumerate(self.cells):
+            self.buckets.setdefault(key, []).append(i)
+        n = len(xs)
+        self.static = [False] * n
+        self.n_static = 0
+        self.pairs: set[tuple[int, int]] = set()
+        self.best = [math.inf] * n
+        self.near = [-1] * n
+        # the positions of the last scan, which the next tick must start from
+        self.xs = xs
+        self.ys = ys
+
+    def _unlink(self, i: int, dirty: list[int]) -> None:
+        """Drop thawing agent i and its static pairs; `dirty` receives the
+        static agents whose cached nearest it was. Both lie around the cell
+        i was static in, which `cells` holds until the movers are
+        re-bucketed."""
+        static, near, pairs = self.static, self.near, self.pairs
+        static[i] = False
+        self.n_static -= 1
+        self.best[i] = math.inf
+        near[i] = -1
+        get = self.buckets.get
+        for c in self.grid.ring(self.cells[i]):
+            for k in get(c, ()):
+                pairs.discard((i, k) if i < k else (k, i))
+                if near[k] == i and static[k]:
+                    dirty.append(k)
+
+    def _renear(self, j: int, xs, ys, cut: float) -> None:
+        """Recompute static agent j's nearest static neighbor within cut."""
+        g = self.grid
+        w, h = g.width, g.height
+        static = self.static
+        get = self.buckets.get
+        xj, yj = xs[j], ys[j]
+        best, near = math.inf, -1
+        for c in g.ring(self.cells[j]):
+            for k in get(c, ()):
+                if k != j and static[k]:
+                    d = torus_distance_xy(xj, yj, xs[k], ys[k], w, h)
+                    if d <= cut and (d < best or (d == best and k < near)):
+                        best, near = d, k
+        self.best[j] = best
+        self.near[j] = near
+
+    def _link(self, i: int, xs, ys, radius: float, cut: float) -> None:
+        """Make freezing agent i static: add its pairs with the static agents
+        and merge it into their nearest and theirs into its."""
+        g = self.grid
+        w, h = g.width, g.height
+        static, best, near = self.static, self.best, self.near
+        get = self.buckets.get
+        xi, yi = xs[i], ys[i]
+        for c in g.ring(self.cells[i]):
+            for k in get(c, ()):
+                if static[k]:
+                    d = torus_distance_xy(xi, yi, xs[k], ys[k], w, h)
+                    if d < radius:
+                        self.pairs.add((i, k) if i < k else (k, i))
+                    if d <= cut:
+                        if d < best[i] or (d == best[i] and k < near[i]):
+                            best[i] = d
+                            near[i] = k
+                        if d < best[k] or (d == best[k] and i < near[k]):
+                            best[k] = d
+                            near[k] = i
+        static[i] = True
+        self.n_static += 1
+
+    def scan(self, speeds: list[float], moved: list[int], xs: list[float],
+             ys: list[float], radius: float,
+             cut: float) -> tuple[set[tuple[int, int]], list[int]]:
+        """SpatialGrid.scan's pairs and nearest ids after this tick's move.
+
+        `moved` lists the agents with a nonzero speed, which moved from the
+        positions of the last scan to `xs`/`ys`; every other agent has speed
+        0 and kept its position.
+        """
+        # the agents that thaw leave the cache from the cell they were
+        # static in, before the movers are re-bucketed; then the static
+        # agents whose nearest thawed look again, and the agents that
+        # freeze join
+        static = self.static
+        dirty: list[int] = []
+        for i in moved:
+            if static[i]:
+                self._unlink(i, dirty)
+        for j in dirty:
+            if static[j]:
+                self._renear(j, xs, ys, cut)
+        if self.n_static + len(moved) < len(speeds):
+            for i, sp in enumerate(speeds):
+                if sp == 0.0 and not static[i]:
+                    self._link(i, xs, ys, radius, cut)
+
+        # re-bucket the movers whose cell changed
+        g = self.grid
+        key_of = g.key
+        buckets, cells = self.buckets, self.cells
+        for i in moved:
+            key = key_of(xs[i], ys[i])
+            old = cells[i]
+            if key != old:
+                b = buckets[old]
+                if len(b) == 1:
+                    del buckets[old]
+                else:
+                    b.remove(i)
+                b = buckets.get(key)
+                if b is None:
+                    buckets[key] = [i]
+                else:
+                    b.append(i)
+                cells[i] = key
+
+        # one 3x3 pass per mover: its pairs with every static agent, and
+        # with each other mover once (from the lower id)
+        w, h = g.width, g.height
+        far = max(radius, cut) * (1.0 + 1e-9)
+        hypot = math.hypot
+        hood = g._hood
+        get = buckets.get
+        ny = g.ny
+        inner = g.nx >= 3 and ny >= 3
+        last_x, last_y = (g.nx - 1) * ny, ny - 1
+        best = self.best[:]
+        near = self.near[:]
+        pairs: set[tuple[int, int]] = set()
+        for i in moved:
+            key = cells[i]
+            if inner and ny <= key < last_x and 0 < key % ny < last_y:
+                west = key - ny
+                east = key + ny
+                others = [*get(west - 1, ()), *get(west, ()), *get(west + 1, ()),
+                          *get(key - 1, ()), *get(key, ()), *get(key + 1, ()),
+                          *get(east - 1, ()), *get(east, ()), *get(east + 1, ())]
+            else:
+                others = [j for c in hood(*divmod(key, ny)) for j in get(c, ())]
+            xi = xs[i]
+            yi = ys[i]
+            for j in others:
+                if j <= i and not static[j]:
+                    continue
+                dx = xi - xs[j]
+                if dx < 0.0:
+                    dx = -dx
+                if dx > w - dx:
+                    dx = w - dx
+                if dx > far:
+                    continue
+                dy = yi - ys[j]
+                if dy < 0.0:
+                    dy = -dy
+                if dy > h - dy:
+                    dy = h - dy
+                if dy > far:
+                    continue
+                d = hypot(dx, dy)
+                if d < radius:
+                    pairs.add((i, j) if i < j else (j, i))
+                if d <= cut:
+                    if d < best[i] or (d == best[i] and j < near[i]):
+                        best[i] = d
+                        near[i] = j
+                    if d < best[j] or (d == best[j] and i < near[j]):
+                        best[j] = d
+                        near[j] = i
+        self.xs = xs
+        self.ys = ys
+        return self.pairs | pairs, near
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Collision statistics of one run plus the configuration that made it."""
@@ -261,10 +490,7 @@ def _tally(world: WorldState, now: set[tuple[int, int]]) -> int:
     for i, j in counted:
         agents[i].collisions += 1
         agents[j].collisions += 1
-    touching = set()
-    for i, j in now:
-        touching.add(i)
-        touching.add(j)
+    touching = set().union(*now)
     for a in agents:
         a.collision_done = a.id in touching
     world.active_pairs = now
@@ -294,9 +520,10 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
     return _tally(world, now)
 
 
-def _index_for(world: WorldState):
-    """The engine's per-run state: grid, nearest-neighbor cut and the
-    (sin, cos) memo per heading value, created on the first tick."""
+def _index_for(world: WorldState) -> list:
+    """The engine's per-run state, created on the first tick: the grid, the
+    nearest-neighbor cut, the (sin, cos) memo per heading value and the
+    social tick's StaticCache (None while fewer than half are stopped)."""
     index = world.index
     if index is None:
         p = world.params
@@ -304,7 +531,7 @@ def _index_for(world: WorldState):
                if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
         grid = SpatialGrid(p.world_width, p.world_height,
                            max(cut, p.collision_radius))
-        index = world.index = (grid, cut, {})
+        index = world.index = [grid, cut, {}, None]
     return index
 
 
@@ -319,35 +546,63 @@ def tick(world: WorldState) -> WorldState:
     p = world.params
     agents = world.agents
     w, h = p.world_width, p.world_height
-    grid, cut, trig = _index_for(world)
+    index = _index_for(world)
+    grid, cut, trig = index[0], index[1], index[2]
     maxv = p.max_velocity
     acc = p.max_acceleration
     decel = p.deceleration
     literal = p.literal_rules
 
     if p.scenario is Scenario.ALL_SOCIAL_AVS:
-        # move; equal to displace(x, y, heading, speed, w, h)
-        for a in agents:
-            sp = a.speed
-            if sp != 0.0:
+        speeds = [a.speed for a in agents]
+        if 2 * speeds.count(0.0) < len(agents):
+            index[3] = None
+            # move; equal to displace(x, y, heading, speed, w, h)
+            for a in agents:
+                sp = a.speed
+                if sp != 0.0:
+                    sc = trig.get(a.heading)
+                    if sc is None:
+                        sc = trig[a.heading] = _sincos(a.heading)
+                    x = (a.x + sp * sc[0]) % w
+                    y = (a.y + sp * sc[1]) % h
+                    a.x = 0.0 if x >= w else x
+                    a.y = 0.0 if y >= h else y
+            grid.rebuild(agents)
+            now, near = grid.scan([a.x for a in agents], [a.y for a in agents],
+                                  p.collision_radius, cut)
+        else:
+            # at least half the flock is stopped, so most pairs join two
+            # agents that do not move: the cache keeps those, and the pass
+            # measures only the movers' pairs. A caller may edit the world
+            # between ticks, so the cache holds only while every agent is
+            # where its last pass left it.
+            xs = [a.x for a in agents]
+            ys = [a.y for a in agents]
+            frozen = index[3]
+            if frozen is None or frozen.xs != xs or frozen.ys != ys:
+                frozen = index[3] = StaticCache(grid, xs, ys)
+            # the same move, over the movers only
+            moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
+            for i in moved:
+                a = agents[i]
                 sc = trig.get(a.heading)
                 if sc is None:
                     sc = trig[a.heading] = _sincos(a.heading)
-                x = (a.x + sp * sc[0]) % w
-                y = (a.y + sp * sc[1]) % h
-                a.x = 0.0 if x >= w else x
-                a.y = 0.0 if y >= h else y
-        grid.rebuild(agents)
-        now, near = grid.scan([a.x for a in agents], [a.y for a in agents],
-                              p.collision_radius, cut)
+                sp = speeds[i]
+                x = (xs[i] + sp * sc[0]) % w
+                y = (ys[i] + sp * sc[1]) % h
+                a.x = xs[i] = 0.0 if x >= w else x
+                a.y = ys[i] = 0.0 if y >= h else y
+            now, near = frozen.scan(speeds, moved, xs, ys, p.collision_radius, cut)
         # decide on the snapshot, apply in id order; equal to social_step
         headings = [a.heading for a in agents]
-        speeds = [a.speed for a in agents]
         kinds = [ActionKind.KEEP] * len(agents)
         for i, j in enumerate(near):
             a = agents[i]
             if j >= 0:
-                sp = max(0.0, speeds[j] - decel)
+                sp = speeds[j] - decel
+                sp = sp if sp > 0.0 else 0.0
                 if literal:
                     sp = min(sp + acc, maxv)
                 else:

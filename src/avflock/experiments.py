@@ -10,7 +10,7 @@ seed = base_seed + j * repetitions + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .core import SCENARIO_NAMES, Scenario, SimParams, from_text, typed_fields
@@ -68,10 +68,12 @@ class SummaryRow:
 def seed_groups(spec: ExperimentSpec) -> list[int]:
     """Seed-group index per configuration; scenario is ignored for grouping
     so paired scenarios replay identical seeds."""
-    groups: dict[SimParams, int] = {}
+    groups: dict[tuple, int] = {}
     out = []
     for p in spec.configurations:
-        key = replace(p, scenario=Scenario.ALL_SOCIAL_AVS)
+        # field values, not a replace(): building a SimParams re-validates
+        # and would warn for every out-of-slider field
+        key = tuple(getattr(p, f.name) for f in fields(p) if f.name != "scenario")
         if key not in groups:
             groups[key] = len(groups)
         out.append(groups[key])
@@ -191,8 +193,9 @@ def builtin_set(which: str, ticks: int = 1000, repetitions: int = 8,
     configs = []
     for pop in _POPULATIONS:
         for scenario in (Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK):
-            configs.append(SimParams(
-                n_red=pop, n_black=pop,
+            # fixed benchmark values, not user input: nothing warns
+            configs.append(SimParams.from_given(
+                {}, n_red=pop, n_black=pop,
                 max_acceleration=0.1,
                 min_safety_distance=1.0, sonar_range=2.5,
                 scenario=scenario, ticks=ticks,

@@ -1,11 +1,16 @@
 """CLI surface: flag parsing, exit codes, determinism, file emission."""
 
 import argparse
+import os
+import subprocess
+import sys
 import types
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
+import avflock
 import avflock.cli as cli
 from avflock import __version__
 from avflock.cli import build_parser, main
@@ -289,6 +294,22 @@ class TestRangeWarnings:
         assert main(["run", "--ticks", "5", "--max-velocity", "0.3"]) == 0
         assert self._range_warnings(recwarn) == [
             "max_velocity=0.3 outside the slider range [0.6, 1.0]"]
+
+    def test_builtin_sweep_stderr_is_empty(self, tmp_path):
+        # a fresh interpreter: the warning registry of this one may already
+        # hold the messages, which would hide a repeat
+        src = str(Path(avflock.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from avflock.cli import main; sys.exit(main(sys.argv[1:]))",
+             "sweep", "--builtin", "set1", "--ticks", "5", "--reps", "1",
+             "--jobs", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def _actions(command: str) -> list[argparse.Action]:

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import statistics
+import warnings
 
 import pytest
 
@@ -32,6 +33,12 @@ class TestBuiltinSets:
             assert p.ticks == 1000
         scenarios = {p.scenario for p in spec.configurations}
         assert scenarios == {Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK}
+
+    @pytest.mark.parametrize("which", ["set1", "set2"])
+    def test_builds_without_warnings(self, which):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            builtin_set(which)
 
     def test_set2_values(self):
         for p in builtin_set("set2").configurations:

@@ -3,8 +3,11 @@
 Each case runs `setup` + `tick` for 1000 ticks and hashes the per-tick
 collision series plus every agent's final x, y, heading, speed, collision
 tally and recovering flag (floats by repr, so one ulp changes the digest).
-The pins were generated once from the engine before the fused pair pass
-replaced the per-agent tick. A changed digest is a behaviour change: explain
+The default-profile pins were generated once from the engine before the
+fused pair pass replaced the per-agent tick. The set2-profile pins (velocity
+0.5-0.9, deceleration 0.3) cover the deep-freeze regime, where most of the
+social flock is stopped; they were generated from the fused engine before
+the social tick learned to skip stopped agents' pairs. A changed digest is a behaviour change: explain
 it in CHANGES.md, never regenerate the pins to make a diff pass.
 
 Print the digests of the current engine with `python tests/test_golden.py`.
@@ -34,14 +37,20 @@ def case_key(scenario, pop, literal, rule, seed) -> str:
 
 CASES = [case_key(*c) for c in itertools.product(
     SCENARIOS, POPULATIONS, LITERAL, RULES, SEEDS)]
+# the fast benchmark profile, where social runs spend most ticks with at
+# least half the flock stopped
+SET2 = dict(min_velocity=0.5, max_velocity=0.9, deceleration=0.3)
+SET2_CASES = ["set2-" + case_key("social", pop, "plain", "pair", seed)
+              for pop in POPULATIONS for seed in SEEDS]
 
 
 def run_digest(key: str) -> str:
-    scenario, pop, literal, rule, seed = key.split("-")
+    profile = SET2 if key.startswith("set2-") else {}
+    scenario, pop, literal, rule, seed = key.removeprefix("set2-").split("-")
     params = dataclasses.replace(
         SimParams(), n_red=int(pop), n_black=int(pop),
         scenario=SCENARIOS[scenario], literal_rules=LITERAL[literal],
-        collision_rule=RULES[rule], ticks=TICKS)
+        collision_rule=RULES[rule], ticks=TICKS, **profile)
     world = setup(params, int(seed[1:]))
     for _ in range(TICKS):
         tick(world)
@@ -148,6 +157,14 @@ PINS = {
         "52d5bd11f9c80100c8b0a75cae6b4a528798d758782e5eb7e614413d441f33e8",
     "random-80-literal-tick-s1":
         "585f5ce8ab6b82860a18e4b3bcc59e987d29ab1f331b5474a74cafb9051537a1",
+    "set2-social-40-plain-pair-s0":
+        "7eab79560bdc7930cf2e8f38ade972c2a63f033ef9630c7b524757a67f1a2b13",
+    "set2-social-40-plain-pair-s1":
+        "e09e8e244e65644daa092939a02ba95ebadab1daa81b302c644988900bbcf6b2",
+    "set2-social-80-plain-pair-s0":
+        "f69ff82cc22f7c410554f8dc7902d1e61dcab050599f0853eb20269c89676cfc",
+    "set2-social-80-plain-pair-s1":
+        "0a298440953738df8eee0f3755fc5e57fc88360a60cbe420b93074aab2026707",
 }
 
 
@@ -156,7 +173,12 @@ def test_digest_pinned(key):
     assert run_digest(key) == PINS[key]
 
 
+@pytest.mark.parametrize("key", SET2_CASES)
+def test_set2_digest_pinned(key):
+    assert run_digest(key) == PINS[key]
+
+
 if __name__ == "__main__":
     warnings.simplefilter("ignore", ParamRangeWarning)
-    for k in CASES:
+    for k in CASES + SET2_CASES:
         print(f'    "{k}":\n        "{run_digest(k)}",')
