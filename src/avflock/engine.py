@@ -21,9 +21,17 @@ where at least half the agents are stopped before the move, StaticCache
 keeps the stopped agents' colliding pairs and nearest stopped neighbors
 across ticks and measures only the pairs with a mover in them; it yields
 exactly what SpatialGrid.scan yields. Below half, the cache would cost more
-than it saves: the tick rebuilds and scans, and the cache is dropped. The
-random walk always rebuilds and scans; its speed floor is min_velocity, so
-with a positive floor nothing in it stops.
+than it saves: the tick rebuilds and scans, and the cache is dropped.
+
+The random walk scans every tick; its speed floor is min_velocity, so with
+a positive floor nothing in it stops. Its tick draws and makes both moves
+for each agent in one loop that also collects the positions `scan` reads.
+At the paper's density most occupied cells have no occupied neighbor, and
+`scan` skips a lone agent in such a cell after four key probes.
+
+`run` writes the trace once per tick. A row's heading, speed and action
+text repeats across agents and ticks, so it is memoised per value; only
+x and y are formatted for every row.
 
 The per-agent functions (social_step, random_walk_step, displace,
 detect_collisions, SpatialGrid.candidates) are the reference the tick
@@ -198,8 +206,14 @@ class SpatialGrid:
         for key, cell in buckets.items():
             if inner and key < last_x and 0 < key % ny < last_y:
                 e = key + ny
-                others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),
-                          *get(e + 1, ())]
+                # most cells of a sparse grid have no occupied half-shell
+                # neighbor: probe before building the partner list
+                if (key + 1 in buckets or e - 1 in buckets or e in buckets
+                        or e + 1 in buckets):
+                    others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),
+                              *get(e + 1, ())]
+                else:
+                    others = []
             else:
                 shell = edges.get(key)
                 if shell is None:
@@ -521,17 +535,18 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 
 
 def _index_for(world: WorldState) -> list:
-    """The engine's per-run state, created on the first tick: the grid, the
-    nearest-neighbor cut, the (sin, cos) memo per heading value and the
-    social tick's StaticCache (None while fewer than half are stopped)."""
+    """The engine's per-run state, built on the first tick and again when
+    `world.params` is replaced: the grid, the nearest-neighbor cut, the
+    (sin, cos) memo per heading value, the social tick's StaticCache (None
+    while fewer than half are stopped) and the params it was built from."""
     index = world.index
-    if index is None:
-        p = world.params
+    p = world.params
+    if index is None or index[4] is not p:
         cut = (min(p.sonar_range, p.min_safety_distance)
                if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
         grid = SpatialGrid(p.world_width, p.world_height,
                            max(cut, p.collision_radius))
-        index = world.index = [grid, cut, {}, None]
+        index = world.index = [grid, cut, {}, None, p]
     return index
 
 
@@ -622,6 +637,8 @@ def tick(world: WorldState) -> WorldState:
         # draws getrandbits(n.bit_length()) until the value is below n
         getrandbits = world.rng.getrandbits
         minv = p.min_velocity
+        xs: list[float] = []
+        ys: list[float] = []
         for a in agents:
             h1 = getrandbits(7)
             while h1 >= 89:
@@ -631,38 +648,76 @@ def tick(world: WorldState) -> WorldState:
                 h2 = getrandbits(8)
             sp = a.speed
             if a.random_behaviour:
-                speed = min(sp + acc, maxv)
-            elif literal:
-                speed = sp + decel
+                speed = sp + acc
+                if maxv < speed:  # min(sp + acc, maxv)
+                    speed = maxv
+            else:
+                speed = sp + decel if literal else sp - decel
                 if speed < minv:
                     speed = minv
-            else:
-                speed = max(sp - decel, minv)
+            x = a.x
+            y = a.y
             if sp != 0.0:
-                x, y = a.x, a.y
-                for heading in (a.heading, h1):
-                    sc = trig.get(heading)
-                    if sc is None:
-                        sc = trig[heading] = _sincos(heading)
-                    x = (x + sp * sc[0]) % w
-                    y = (y + sp * sc[1]) % h
-                    if x >= w:
-                        x = 0.0
-                    if y >= h:
-                        y = 0.0
+                sc = trig.get(a.heading)
+                if sc is None:
+                    sc = trig[a.heading] = _sincos(a.heading)
+                x = (x + sp * sc[0]) % w
+                y = (y + sp * sc[1]) % h
+                if x >= w:
+                    x = 0.0
+                if y >= h:
+                    y = 0.0
+                # an int turn shares the memo entry of the equal float
+                sc = trig.get(h1)
+                if sc is None:
+                    sc = trig[h1] = _sincos(h1)
+                x = (x + sp * sc[0]) % w
+                y = (y + sp * sc[1]) % h
+                if x >= w:
+                    x = 0.0
+                if y >= h:
+                    y = 0.0
                 a.x = x
                 a.y = y
             a.heading = float(h2)
             a.speed = speed
             a.random_behaviour = not a.random_behaviour
+            xs.append(x)
+            ys.append(y)
         grid.rebuild(agents)
-        now, _ = grid.scan([a.x for a in agents], [a.y for a in agents],
-                           p.collision_radius, cut)
+        now, _ = grid.scan(xs, ys, p.collision_radius, cut)
         world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
 
     world.collisions_per_tick.append(_tally(world, now))
     world.tick += 1
     return world
+
+
+def _trace_rows(world: WorldState, tails: dict) -> str:
+    """This tick's trace rows, tick,agent,x,y,heading,speed,action, one per
+    agent.
+
+    `tails` memoises the ",heading,speed,action" text per value. Values that
+    compare equal can print differently (-0.0 and 0.0, 90 and 90.0), so only
+    floats other than -0.0 share it; any other row is formatted whole.
+    """
+    t = world.tick
+    copysign = math.copysign
+    rows = []
+    for a, kind in zip(world.agents, world.last_actions):
+        hd = a.heading
+        sp = a.speed
+        if (type(hd) is type(sp) is float
+                and (hd or copysign(1.0, hd) > 0.0)
+                and (sp or copysign(1.0, sp) > 0.0)):
+            key = (hd, sp, kind)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = f",{hd!r},{sp!r},{kind.value}\n"
+        else:
+            tail = f",{hd!r},{sp!r},{kind.value}\n"
+        rows.append(f"{t},{a.id},{a.x!r},{a.y!r}{tail}")
+    return "".join(rows)
 
 
 def run(params: SimParams, seed: int | None = None, trace=None) -> RunResult:
@@ -675,13 +730,11 @@ def run(params: SimParams, seed: int | None = None, trace=None) -> RunResult:
     use_seed = params.seed if seed is None else seed
     if trace is not None:
         trace.write("tick,agent,x,y,heading,speed,action\n")
+        tails: dict = {}
     for _ in range(params.ticks):
         tick(world)
         if trace is not None:
-            t = world.tick
-            for a, kind in zip(world.agents, world.last_actions):
-                trace.write(f"{t},{a.id},{a.x!r},{a.y!r},{a.heading!r},"
-                            f"{a.speed!r},{kind.value}\n")
+            trace.write(_trace_rows(world, tails))
     red = sum(a.collisions for a in world.agents if a.team is Team.RED)
     black = sum(a.collisions for a in world.agents if a.team is Team.BLACK)
     return RunResult(

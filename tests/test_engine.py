@@ -1,12 +1,14 @@
 """Engine contracts: setup, collision detection, tick loop, determinism,
 and grid/brute-force equivalence."""
 
+import copy
 import dataclasses
 import io
 import random
 
 import pytest
 
+from avflock import engine
 from avflock.agents import ActionKind
 from avflock.core import (AgentState, CollisionRule, Scenario, SimParams,
                           Team, WorldState, torus_distance_xy)
@@ -270,6 +272,37 @@ class TestRun:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "0" and first[6] in (
             "Keep", "Mirror", "Accelerate", "RandomWalk")
+
+
+    def test_trace_memo_keeps_values_that_print_differently(self, monkeypatch):
+        # caller-set values that compare equal to others but print
+        # differently: -0.0 and 0.0, ints and floats, a bool
+        values = [(90.0, 1.0), (90, 1.0), (90.0, 1), (90, 1), (-0.0, 0.0),
+                  (0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0, 0), (0.0, 0),
+                  (120.0, True), (120.0, 1.0), (-0.0, 1.0), (0.0, 1.0)]
+        values += values[::-1]
+        params = dataclasses.replace(TABLE1, sonar_range=0.0, ticks=4)
+        world = world_at([(3.0 * i, 1.5 * i) for i in range(len(values))],
+                         params, headings=[h for h, _ in values],
+                         speeds=[s for _, s in values])
+        ref = copy.deepcopy(world)
+        monkeypatch.setattr(engine, "setup", lambda params, seed=None: world)
+        buf = io.StringIO()
+        run(params, trace=buf)
+
+        rows = ["tick,agent,x,y,heading,speed,action\n"]
+        for _ in range(params.ticks):
+            tick(ref)
+            t = ref.tick
+            for a, kind in zip(ref.agents, ref.last_actions):
+                # the per-row format the trace writer memoises
+                rows.append(f"{t},{a.id},{a.x!r},{a.y!r},{a.heading!r},"
+                            f"{a.speed!r},{kind.value}\n")
+        assert buf.getvalue() == "".join(rows)
+        assert all(k is ActionKind.KEEP for k in ref.last_actions)
+        assert {(type(a.heading), type(a.speed)) for a in ref.agents} >= {
+            (int, int), (float, bool)}
+        assert ",-0.0,-0.0,Keep" in buf.getvalue()
 
 
 def brute_neighbors(agents, i, r, w, h):

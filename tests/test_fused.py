@@ -14,6 +14,11 @@ takes the stopped agents' pairs from StaticCache and measures only the
 movers'. The tests at the end audit that pass against a full rebuild + scan
 after every tick, on dense worlds that freeze and thaw for 1000 ticks, and
 check that edits a caller makes between ticks reach the result.
+
+The random-walk tick collects the positions it scans in its move loop; its
+grid and pairs are audited against a fresh SpatialGrid after every tick,
+across caller edits.
+A world.params replaced between ticks must take effect on the next tick.
 """
 
 import collections
@@ -154,6 +159,8 @@ def test_fused_tick_equals_oracle_after_every_tick(case):
             tick(fused)
             oracle_tick(ref)
             assert _state(fused) == _state(ref), (case, scenario, rule, literal, t)
+            if scenario is Scenario.RANDOM_WALK:
+                _audit_random_grid(fused)
 
 
 def test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis():
@@ -390,3 +397,88 @@ def test_static_cache_follows_caller_edits(edit):
         tick(fused)
         oracle_tick(ref)
         assert _state(fused) == _state(ref), (edit, t)
+
+
+# The random walk collects the positions it scans in its move loop, not from
+# the agents. After every random tick the grid must hold what a fresh
+# rebuild of the same agents holds, and the tick's pairs must be what a scan
+# of the agents' positions yields.
+
+def _audit_random_grid(world: WorldState) -> None:
+    grid = world.index[0]
+    ref = SpatialGrid(grid.width, grid.height, grid.cell_size)
+    ref.rebuild(world.agents)
+    assert grid.buckets == ref.buckets
+    xs = [a.x for a in world.agents]
+    ys = [a.y for a in world.agents]
+    # candidates are memoised per cell until the next bucketing
+    assert all(grid.candidates(x, y) == ref.candidates(x, y)
+               for x, y in zip(xs, ys))
+    assert world.active_pairs == ref.scan(xs, ys, world.params.collision_radius,
+                                          -1.0)[0]
+
+
+def _random_edit(world: WorldState, edit: str) -> None:
+    agents = world.agents
+    if edit == "move":
+        # onto another agent, so the pair collides on the next tick
+        agents[3].x, agents[3].y = agents[7].x, agents[7].y
+    elif edit == "speed":
+        agents[5].speed = 0.0  # this agent does not move on the next tick
+    elif edit == "stop_at_edge":
+        # x * (nx / width) rounds up to nx here: the key must clamp it
+        p = world.params
+        w = p.world_width
+        agents[5].speed = 0.0
+        agents[5].x = math.nextafter(w, 0.0)
+        nx = SpatialGrid(w, p.world_height, p.collision_radius).nx
+        assert int(agents[5].x * (nx / w)) == nx
+    else:
+        copies = [dataclasses.replace(a) for a in agents]
+        copies[2].x, copies[2].y, copies[9].x, copies[9].y = (
+            agents[9].x, agents[9].y, agents[2].x, agents[2].y)
+        world.agents = copies
+
+
+@pytest.mark.parametrize("edit", ["move", "speed", "stop_at_edge",
+                                  "replace_agents"])
+@pytest.mark.parametrize("width", [15.96, 1.95])
+def test_random_walk_buckets_follow_caller_edits(edit, width):
+    # a 1.95 m wide world has 1 cell along x
+    fused, ref = (_flock(seed, scenario=Scenario.RANDOM_WALK, n_red=10,
+                         n_black=10, world_width=width, sonar_range=0.5)
+                  for seed in (0, 0))
+    for t in range(40):
+        if t % 5 == 4:
+            _random_edit(fused, edit)
+            _random_edit(ref, edit)
+        tick(fused)
+        oracle_tick(ref)
+        _audit_random_grid(fused)
+        assert _state(fused) == _state(ref), (edit, width, t)
+    assert (fused.index[0].nx < 3) == (width < 3.0)
+
+
+# A caller may replace world.params between ticks; the next tick must use
+# the new grid size, cut and scenario.
+
+@pytest.mark.parametrize("field, before, after", [
+    ("collision_radius", 1.0, 3.0),
+    ("sonar_range", 2.5, 0.3),
+    ("scenario", Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK),
+    ("scenario", Scenario.RANDOM_WALK, Scenario.ALL_SOCIAL_AVS),
+])
+def test_replaced_params_take_effect(field, before, after):
+    fused, ref = _flock(0, **{field: before}), _flock(0, **{field: before})
+    for t in range(30):
+        if t == 5:
+            for world in (fused, ref):
+                world.params = dataclasses.replace(world.params, **{field: after})
+        tick(fused)
+        oracle_tick(ref)
+        assert _state(fused) == _state(ref), (field, t)
+    p = fused.params
+    cut = (min(p.sonar_range, p.min_safety_distance)
+           if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
+    assert fused.index[1] == cut
+    assert fused.index[0].cell_size == max(cut, p.collision_radius)

@@ -7,21 +7,31 @@ The default-profile pins were generated once from the engine before the
 fused pair pass replaced the per-agent tick. The set2-profile pins (velocity
 0.5-0.9, deceleration 0.3) cover the deep-freeze regime, where most of the
 social flock is stopped; they were generated from the fused engine before
-the social tick learned to skip stopped agents' pairs. A changed digest is a behaviour change: explain
-it in CHANGES.md, never regenerate the pins to make a diff pass.
+the social tick learned to skip stopped agents' pairs.
+
+The trace pins hash the full text `run(params, seed, trace=buf)` writes for
+300 ticks, 40 + 40 agents: social plain (Keep, Mirror and Accelerate rows,
+speeds of 0.0), social literal (Mirror at a nonzero speed), set2 social
+(deep freeze) and random walk. They were generated from the engine that
+wrote one f-string per row, before the trace writer memoised each row's
+heading, speed and action text and wrote once per tick.
+
+A changed digest is a behaviour change: explain it in CHANGES.md, never
+regenerate the pins to make a diff pass.
 
 Print the digests of the current engine with `python tests/test_golden.py`.
 """
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import warnings
 
 import pytest
 
 from avflock.core import CollisionRule, ParamRangeWarning, Scenario, SimParams
-from avflock.engine import setup, tick
+from avflock.engine import run, setup, tick
 
 TICKS = 1000
 SCENARIOS = {"social": Scenario.ALL_SOCIAL_AVS, "random": Scenario.RANDOM_WALK}
@@ -44,14 +54,34 @@ SET2_CASES = ["set2-" + case_key("social", pop, "plain", "pair", seed)
               for pop in POPULATIONS for seed in SEEDS]
 
 
-def run_digest(key: str) -> str:
+# full trace text of shorter runs: every row of every tick
+TRACE_TICKS = 300
+TRACE_CASES = ["trace-" + key for key in (
+    case_key(s, 40, literal, "pair", seed)
+    for s, literal in (("social", "plain"), ("social", "literal"),
+                       ("set2-social", "plain"), ("random", "plain"))
+    for seed in SEEDS)]
+
+
+def case_params(key: str, ticks: int) -> tuple[SimParams, int]:
+    """The parameters and seed a case key names."""
     profile = SET2 if key.startswith("set2-") else {}
     scenario, pop, literal, rule, seed = key.removeprefix("set2-").split("-")
     params = dataclasses.replace(
         SimParams(), n_red=int(pop), n_black=int(pop),
         scenario=SCENARIOS[scenario], literal_rules=LITERAL[literal],
-        collision_rule=RULES[rule], ticks=TICKS, **profile)
-    world = setup(params, int(seed[1:]))
+        collision_rule=RULES[rule], ticks=ticks, **profile)
+    return params, int(seed[1:])
+
+
+def trace_digest(key: str) -> str:
+    buf = io.StringIO()
+    run(*case_params(key.removeprefix("trace-"), TRACE_TICKS), trace=buf)
+    return hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest()
+
+
+def run_digest(key: str) -> str:
+    world = setup(*case_params(key, TICKS))
     for _ in range(TICKS):
         tick(world)
     lines = [",".join(map(str, world.collisions_per_tick))]
@@ -167,6 +197,25 @@ PINS = {
         "0a298440953738df8eee0f3755fc5e57fc88360a60cbe420b93074aab2026707",
 }
 
+TRACE_PINS = {
+    "trace-social-40-plain-pair-s0":
+        "589aa41d9b382f08dcd9ff8cb7bad5eced50a15daf36c4e53d13bdda66040c44",
+    "trace-social-40-plain-pair-s1":
+        "4ac051f410886d209dd64629f822becd4a5b131592fcf913fd8a373f7762482e",
+    "trace-social-40-literal-pair-s0":
+        "ff7621c0d62d4dcdfd799c6a64ec77f2040e6ca97f61fc1ed63196064db8353e",
+    "trace-social-40-literal-pair-s1":
+        "7fa0bb07c9860b7c316d550fd331fa8c998ad1ed1f6beaba268c9524bf1effc0",
+    "trace-set2-social-40-plain-pair-s0":
+        "7efc4b3cacbf899c0c111268f59c10a8d67a512fa1ce2ecdc0a8afd6402a2312",
+    "trace-set2-social-40-plain-pair-s1":
+        "ab93cdebd79fb06985c8dcde74c281e7b885a619ff5a398c8c60b0ce2f560677",
+    "trace-random-40-plain-pair-s0":
+        "6ce9cdeb83e097fb2048d29657b4bdaee7714efd60538fbb427f277d3405d7a1",
+    "trace-random-40-plain-pair-s1":
+        "5ebb0f150063016f7fab118056f2096b41d1f674dddd9b2c695acff066bf2365",
+}
+
 
 @pytest.mark.parametrize("key", CASES)
 def test_digest_pinned(key):
@@ -178,7 +227,14 @@ def test_set2_digest_pinned(key):
     assert run_digest(key) == PINS[key]
 
 
+@pytest.mark.parametrize("key", TRACE_CASES)
+def test_trace_digest_pinned(key):
+    assert trace_digest(key) == TRACE_PINS[key]
+
+
 if __name__ == "__main__":
     warnings.simplefilter("ignore", ParamRangeWarning)
     for k in CASES + SET2_CASES:
         print(f'    "{k}":\n        "{run_digest(k)}",')
+    for k in TRACE_CASES:
+        print(f'    "{k}":\n        "{trace_digest(k)}",')
