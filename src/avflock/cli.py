@@ -134,7 +134,7 @@ def cmd_sweep(args) -> int:
                               spec.base_seed, args.batches)
     if args.out:
         path = _out_path(args.out)
-        open(path, "w").close()  # a bad path fails before the sweep
+        open(path, "a").close()  # a bad path fails now; "a" keeps the old file
     rows = run_experiment(spec, jobs=args.jobs)
     _print_rows(rows)
     if args.out:

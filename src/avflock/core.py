@@ -12,9 +12,9 @@ import functools
 import math
 import warnings
 from collections.abc import Collection, Mapping
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 
 class Team(Enum):
@@ -45,20 +45,10 @@ class ParamRangeWarning(UserWarning):
     """A parameter is outside its documented slider range (non-fatal)."""
 
 
-class Position(NamedTuple):
-    x: float
-    y: float
-
-
 def _wrap1(v: float, size: float) -> float:
     # float % can round up to exactly `size` for tiny negative v
     v %= size
     return 0.0 if v >= size else v
-
-
-def wrap(p: Position, width: float, height: float) -> Position:
-    """Canonicalize a position onto [0, width) x [0, height)."""
-    return Position(_wrap1(p.x, width), _wrap1(p.y, height))
 
 
 def torus_distance_xy(ax: float, ay: float, bx: float, by: float,
@@ -71,11 +61,6 @@ def torus_distance_xy(ax: float, ay: float, bx: float, by: float,
     if dy > height - dy:
         dy = height - dy
     return math.hypot(dx, dy)
-
-
-def torus_distance(a: Position, b: Position, width: float, height: float) -> float:
-    """Euclidean distance under the shortest wrapped displacement."""
-    return torus_distance_xy(a.x, a.y, b.x, b.y, width, height)
 
 
 def displace(x: float, y: float, heading: float, dist: float,
@@ -91,12 +76,6 @@ def displace(x: float, y: float, heading: float, dist: float,
             _wrap1(y + dist * math.cos(rad), height))
 
 
-def normalize_heading(degrees: float) -> float:
-    """Map any angle to the canonical [0, 360) range."""
-    h = degrees % 360.0
-    return 0.0 if h >= 360.0 else h
-
-
 @dataclass(slots=True)
 class AgentState:
     """One vehicle. `collisions` is a monotone per-agent tally."""
@@ -108,21 +87,10 @@ class AgentState:
     heading: float
     speed: float
     random_behaviour: bool = False
-    collision_done: bool = False
     collisions: int = 0
     # set when a mirror maneuver lowered the speed; drives the post-threat
     # recovery back toward max velocity on danger-free ticks
     recovering: bool = False
-
-    @property
-    def position(self) -> Position:
-        return Position(self.x, self.y)
-
-
-def forward(agent: AgentState, width: float, height: float) -> AgentState:
-    """Advance the agent by its speed along its heading (wrapped); pure."""
-    nx, ny = displace(agent.x, agent.y, agent.heading, agent.speed, width, height)
-    return replace(agent, x=nx, y=ny)
 
 
 _BOOL_WORDS = {"1": True, "yes": True, "true": True, "on": True,
@@ -279,6 +247,8 @@ class WorldState:
     active_pairs: set[tuple[int, int]] = field(default_factory=set)
     # action kind per agent from the latest tick, for trace output
     last_actions: list = field(default_factory=list)
-    # engine-owned per-run state (spatial grid, heading trig memo), created
-    # lazily (geometry is fixed per run)
+    # engine-owned per-run state: the spatial grid, the nearest-neighbor cut,
+    # the heading trig memo, the social tick's StaticCache and the params
+    # they were built from; built on the first tick and again when `params`
+    # is replaced
     index: object = None

@@ -33,9 +33,13 @@ At the paper's density most occupied cells have no occupied neighbor, and
 text repeats across agents and ticks, so it is memoised per value; only
 x and y are formatted for every row.
 
+A collision event is a pair entering the collision radius, debounced by
+the previous tick's pairs (world.active_pairs); agents keep only tallies.
+
 The per-agent functions (social_step, random_walk_step, displace,
 detect_collisions, SpatialGrid.candidates) are the reference the tick
-reproduces bit for bit; the tests replay them as its oracle.
+reproduces bit for bit; the tests replay them as its oracle. Its grid
+query shares SpatialGrid.key and SpatialGrid.ring with the fast passes.
 
 All randomness flows through one seeded generator consumed in agent-id
 order, which makes run(params, seed) referentially transparent.
@@ -74,8 +78,7 @@ class SpatialGrid:
         self._sx = self.nx / width
         self._sy = self.ny / height
         self.buckets: dict[int, list[int]] = {}
-        self._hoods: dict[int, tuple[int, ...]] = {}
-        self._cands: dict[int, list[int]] = {}
+        self._rings: dict[int, tuple[int, ...]] = {}
         # half-shell neighbors of the cells whose stencil wraps; interior
         # cells compute theirs, so this grows with the perimeter, not the area
         self._edges: dict[int, tuple[int, ...]] = {}
@@ -84,7 +87,6 @@ class SpatialGrid:
         """Re-bucket every agent by its wrapped position."""
         buckets = self.buckets
         buckets.clear()
-        self._cands.clear()
         nx, ny = self.nx, self.ny
         sx, sy = self._sx, self._sy
         for a in agents:
@@ -123,41 +125,21 @@ class SpatialGrid:
             w = key - ny
             e = key + ny
             return (w - 1, w, w + 1, key - 1, key, key + 1, e - 1, e, e + 1)
-        return self._hood(cx, cy)
-
-    def _hood(self, cx: int, cy: int) -> tuple[int, ...]:
-        key = cx * self.ny + cy
-        hood = self._hoods.get(key)
+        hood = self._rings.get(key)
         if hood is None:
-            nx, ny = self.nx, self.ny
+            nx = self.nx
             cells = {((cx + dx) % nx) * ny + ((cy + dy) % ny)
                      for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-            hood = self._hoods[key] = tuple(sorted(cells))
+            hood = self._rings[key] = tuple(sorted(cells))
         return hood
 
     def candidates(self, x: float, y: float) -> list[int]:
         """Ids of all agents bucketed in the 3x3 neighborhood of (x, y).
 
         A superset of any radius query up to cell_size; includes the caller.
-        Lists are shared per cell per rebuild: do not mutate.
         """
-        cx = int(x * self._sx)
-        cy = int(y * self._sy)
-        if cx >= self.nx:
-            cx = self.nx - 1
-        if cy >= self.ny:
-            cy = self.ny - 1
-        key = cx * self.ny + cy
-        out = self._cands.get(key)
-        if out is None:
-            buckets = self.buckets
-            out = []
-            for c in self._hood(cx, cy):
-                b = buckets.get(c)
-                if b:
-                    out.extend(b)
-            self._cands[key] = out
-        return out
+        get = self.buckets.get
+        return [j for c in self.ring(self.key(x, y)) for j in get(c, ())]
 
     def _half_shell(self, key: int) -> tuple[int, ...]:
         """The neighbor cells of `key` whose pairs with it `scan` visits.
@@ -168,9 +150,9 @@ class SpatialGrid:
         neighborhood's cells with a larger key.
         """
         ny = self.ny
-        cx, cy = divmod(key, ny)
         if self.nx < 3 or ny < 3:
-            return tuple(c for c in self._hood(cx, cy) if c > key)
+            return tuple(c for c in self.ring(key) if c > key)
+        cx, cy = divmod(key, ny)
         east = (cx + 1) % self.nx * ny
         return (cx * ny + (cy + 1) % ny, east + (cy - 1) % ny, east + cy,
                 east + (cy + 1) % ny)
@@ -398,7 +380,7 @@ class StaticCache:
         w, h = g.width, g.height
         far = max(radius, cut) * (1.0 + 1e-9)
         hypot = math.hypot
-        hood = g._hood
+        ring = g.ring
         get = buckets.get
         ny = g.ny
         inner = g.nx >= 3 and ny >= 3
@@ -415,7 +397,7 @@ class StaticCache:
                           *get(key - 1, ()), *get(key, ()), *get(key + 1, ()),
                           *get(east - 1, ()), *get(east, ()), *get(east + 1, ())]
             else:
-                others = [j for c in hood(*divmod(key, ny)) for j in get(c, ())]
+                others = [j for c in ring(key) for j in get(c, ())]
             xi = xs[i]
             yi = ys[i]
             for j in others:
@@ -486,7 +468,7 @@ def setup(params: SimParams, seed: int | None = None) -> WorldState:
 
 
 def _tally(world: WorldState, now: set[tuple[int, int]]) -> int:
-    """Feed this tick's colliding pairs into the totals, tallies and flags.
+    """Feed this tick's colliding pairs into the totals and tallies.
 
     An event fires when a pair enters the colliding state (debounced via
     the previous tick's pair set); the collision rule decides how events
@@ -504,9 +486,6 @@ def _tally(world: WorldState, now: set[tuple[int, int]]) -> int:
     for i, j in counted:
         agents[i].collisions += 1
         agents[j].collisions += 1
-    touching = set().union(*now)
-    for a in agents:
-        a.collision_done = a.id in touching
     world.active_pairs = now
     world.total_collisions += count
     return count
@@ -514,7 +493,7 @@ def _tally(world: WorldState, now: set[tuple[int, int]]) -> int:
 
 def detect_collisions(world: WorldState, collision_radius: float) -> int:
     """Count this tick's collision events by an O(n^2) scan (the reference
-    for the tick's grid pass) and update tallies and flags.
+    for the tick's grid pass) and update the tallies.
 
     A pair is colliding while its torus distance is strictly below the
     radius. Returns the amount added to the world total.

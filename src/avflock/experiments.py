@@ -109,9 +109,9 @@ def _largest_first(tasks: list[tuple[SimParams, int, int]]) -> list[int]:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryRow]:
     """Execute the sweep and aggregate each configuration's replicates.
 
-    `jobs` > 1 distributes runs over worker processes, largest first;
-    results are reduced in configuration order, so the output is identical
-    for any job count.
+    `jobs` > 1 distributes runs over worker processes, largest first, with
+    no more workers than runs; results are reduced in configuration order,
+    so the output is identical for any job count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -126,16 +126,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryRow]:
                 tasks.append((params, seed, groups[ci]))
                 keys.append((ci, b))
 
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here: the pool stack (multiprocessing, pickle, socket,
         # logging) would otherwise load on every `import avflock`
         from concurrent.futures import ProcessPoolExecutor
 
         order = _largest_first(tasks)
         totals = [0] * len(tasks)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(_run_total, [tasks[t] for t in order],
-                            chunksize=max(1, len(tasks) // (jobs * 4)))
+                            chunksize=max(1, len(tasks) // (workers * 4)))
             for t, total in zip(order, done):
                 totals[t] = total
     else:

@@ -79,16 +79,6 @@ _TOL = 1e-9
 _SINGULAR_TOL = 1e-12
 
 
-def delta(v_now: float, v_prev: float) -> float:
-    """Per-step change in relative position (the mentalizing signal)."""
-    return v_now - v_prev
-
-
-def mirror_delta(params: RichardsonParams, dv2_prev: float) -> float:
-    """Mirroring response: scale the neighbor's last move by delta1."""
-    return params.delta1 * dv2_prev
-
-
 def step(state: PairState, params: RichardsonParams) -> PairState:
     """One update of the coupled pair in standard (beta) form."""
     p = params

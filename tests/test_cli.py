@@ -217,6 +217,18 @@ class TestBadInput:
         assert main(TestSweep.ARGS + ["--out", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_failed_sweep_keeps_the_previous_output(self, capsys, monkeypatch,
+                                                    tmp_path):
+        def broken(*args, **kwargs):
+            raise ValueError("run failed")
+
+        monkeypatch.setattr("avflock.experiments.run", broken)
+        path = tmp_path / "set1.csv"
+        path.write_text("the previous sweep's summary\n")
+        assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
+        assert "run failed" in capsys.readouterr().err
+        assert path.read_text() == "the previous sweep's summary\n"
+
     @pytest.mark.parametrize("flag", ["--reps", "--ticks", "--base-seed"])
     def test_builtin_only_flag_with_spec_exits_two(self, capsys, tmp_path, flag):
         cfg = tmp_path / "mini.cfg"

@@ -5,111 +5,91 @@ import random
 
 import pytest
 
-from avflock.core import (AgentState, ParamRangeWarning, Position, SimParams,
-                          Team, forward, normalize_heading, torus_distance,
-                          wrap)
+from avflock.core import (ParamRangeWarning, SimParams, _wrap1, displace,
+                          torus_distance_xy)
 
 W, H = 100.0, 100.0
 
 
 class TestWrap:
     def test_negative_x(self):
-        assert wrap(Position(-1.0, 0.0), W, H) == Position(99.0, 0.0)
+        assert (_wrap1(-1.0, W), _wrap1(0.0, H)) == (99.0, 0.0)
 
     def test_identity(self):
-        assert wrap(Position(50.0, 50.0), W, H) == Position(50.0, 50.0)
+        assert (_wrap1(50.0, W), _wrap1(50.0, H)) == (50.0, 50.0)
 
     def test_multiple_wraps(self):
         # hand modular computation: 250.5 - 2*100, -0.5 + 100
-        assert wrap(Position(250.5, -0.5), W, H) == Position(50.5, 99.5)
+        assert (_wrap1(250.5, W), _wrap1(-0.5, H)) == (50.5, 99.5)
 
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(500):
-            p = Position(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
-            once = wrap(p, W, H)
-            assert wrap(once, W, H) == once
-            assert 0 <= once.x < W and 0 <= once.y < H
+            x, y = rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)
+            once = (_wrap1(x, W), _wrap1(y, H))
+            assert (_wrap1(once[0], W), _wrap1(once[1], H)) == once
+            assert 0 <= once[0] < W and 0 <= once[1] < H
 
     def test_rounding_edge_stays_canonical(self):
         # tiny negative values can round the float modulo up to the modulus
-        p = wrap(Position(-1e-18, -1e-300), W, H)
-        assert 0 <= p.x < W and 0 <= p.y < H
+        x, y = _wrap1(-1e-18, W), _wrap1(-1e-300, H)
+        assert 0 <= x < W and 0 <= y < H
 
 
 class TestTorusDistance:
     def test_zero(self):
-        assert torus_distance(Position(0, 0), Position(0, 0), W, H) == 0.0
+        assert torus_distance_xy(0, 0, 0, 0, W, H) == 0.0
 
     def test_wrap_shortcut(self):
-        assert torus_distance(Position(1, 0), Position(99, 0), W, H) == 2.0
+        assert torus_distance_xy(1, 0, 99, 0, W, H) == 2.0
 
     def test_three_four_five(self):
-        assert torus_distance(Position(10, 10), Position(13, 14), W, H) == 5.0
+        assert torus_distance_xy(10, 10, 13, 14, W, H) == 5.0
 
     def test_symmetric(self):
         rng = random.Random(11)
         for _ in range(500):
-            a = Position(rng.uniform(0, W), rng.uniform(0, H))
-            b = Position(rng.uniform(0, W), rng.uniform(0, H))
-            assert torus_distance(a, b, W, H) == torus_distance(b, a, W, H)
+            ax, ay = rng.uniform(0, W), rng.uniform(0, H)
+            bx, by = rng.uniform(0, W), rng.uniform(0, H)
+            assert (torus_distance_xy(ax, ay, bx, by, W, H)
+                    == torus_distance_xy(bx, by, ax, ay, W, H))
 
     def test_half_diagonal_bound(self):
         bound = math.hypot(W / 2, H / 2)
         rng = random.Random(13)
         for _ in range(500):
-            a = Position(rng.uniform(0, W), rng.uniform(0, H))
-            b = Position(rng.uniform(0, W), rng.uniform(0, H))
-            assert torus_distance(a, b, W, H) <= bound
-
-
-def _agent(x=0.0, y=0.0, heading=0.0, speed=0.0):
-    return AgentState(id=0, team=Team.RED, x=x, y=y, heading=heading, speed=speed)
+            ax, ay = rng.uniform(0, W), rng.uniform(0, H)
+            bx, by = rng.uniform(0, W), rng.uniform(0, H)
+            assert torus_distance_xy(ax, ay, bx, by, W, H) <= bound
 
 
 class TestForward:
+    """A move along the heading, through `displace`."""
+
     def test_due_east(self):
-        a = forward(_agent(heading=90.0, speed=0.3), W, H)
-        assert a.x == pytest.approx(0.3, abs=1e-12)
-        assert a.y == pytest.approx(0.0, abs=1e-12)
+        x, y = displace(0.0, 0.0, 90.0, 0.3, W, H)
+        assert x == pytest.approx(0.3, abs=1e-12)
+        assert y == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_speed_identity(self):
-        a = forward(_agent(x=4.5, y=6.25, heading=37.0, speed=0.0), W, H)
-        assert (a.x, a.y) == (4.5, 6.25)
+        assert displace(4.5, 6.25, 37.0, 0.0, W, H) == (4.5, 6.25)
 
     def test_heading_120_hand_trig(self):
-        a = forward(_agent(heading=120.0, speed=0.3), W, H)
-        assert a.x == pytest.approx(0.3 * math.sin(math.radians(120.0)))
-        assert a.x == pytest.approx(0.2598, abs=1e-4)
+        x, y = displace(0.0, 0.0, 120.0, 0.3, W, H)
+        assert x == pytest.approx(0.3 * math.sin(math.radians(120.0)))
+        assert x == pytest.approx(0.2598, abs=1e-4)
         # dy = 0.3*cos(120 deg) = -0.15 wraps to 99.85
-        assert a.y == pytest.approx(99.85, abs=1e-4)
+        assert y == pytest.approx(99.85, abs=1e-4)
 
     def test_heading_wraps_mod_360(self):
         rng = random.Random(17)
         for _ in range(200):
             h = rng.uniform(0, 360)
-            base = _agent(x=rng.uniform(0, W), y=rng.uniform(0, H),
-                          heading=h, speed=rng.uniform(0, 1))
-            import dataclasses
-            shifted = dataclasses.replace(base, heading=h + 360.0)
-            fa = forward(base, W, H)
-            fb = forward(shifted, W, H)
-            assert fa.x == pytest.approx(fb.x, abs=1e-9)
-            assert fa.y == pytest.approx(fb.y, abs=1e-9)
-
-    def test_preserves_identity_fields(self):
-        src = AgentState(id=9, team=Team.BLACK, x=1.0, y=2.0, heading=45.0,
-                         speed=0.5, random_behaviour=True, collisions=3)
-        out = forward(src, W, H)
-        assert (out.id, out.team, out.heading, out.speed) == (9, Team.BLACK, 45.0, 0.5)
-        assert out.random_behaviour is True and out.collisions == 3
-
-
-def test_normalize_heading():
-    assert normalize_heading(360.0) == 0.0
-    assert normalize_heading(-90.0) == 270.0
-    assert normalize_heading(90.0) == 90.0
-    assert 0 <= normalize_heading(-1e-18) < 360.0
+            x, y, sp = rng.uniform(0, W), rng.uniform(0, H), rng.uniform(0, 1)
+            ax, ay = displace(x, y, h, sp, W, H)
+            bx, by = displace(x, y, h + 360.0, sp, W, H)
+            assert ax == pytest.approx(bx, abs=1e-9)
+            assert ay == pytest.approx(by, abs=1e-9)
 
 
 class TestSimParams:

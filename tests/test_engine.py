@@ -50,7 +50,7 @@ class TestSetup:
         world = setup(TABLE1, seed=2)
         assert all(a.speed == 0.3 for a in world.agents)
         assert all(a.collisions == 0 for a in world.agents)
-        assert all(not a.collision_done for a in world.agents)
+        assert world.active_pairs == set()
 
     def test_positions_canonical(self):
         world = setup(SimParams(n_red=100, n_black=100), seed=3)
@@ -72,7 +72,7 @@ class TestDetectCollisions:
         assert detect_collisions(world, 1.0) == 1
         assert world.total_collisions == 1
         assert [a.collisions for a in world.agents] == [1, 1]
-        assert all(a.collision_done for a in world.agents)
+        assert world.active_pairs == {(0, 1)}
 
     def test_sustained_overlap_not_recounted(self):
         world = world_at([(10.0, 10.0), (10.0, 10.0)])
@@ -85,7 +85,7 @@ class TestDetectCollisions:
         detect_collisions(world, 1.0)
         world.agents[1].x = 20.0  # separate
         assert detect_collisions(world, 1.0) == 0
-        assert not any(a.collision_done for a in world.agents)
+        assert world.active_pairs == set()
         world.agents[1].x = 10.0  # rejoin
         assert detect_collisions(world, 1.0) == 1
         assert world.total_collisions == 2

@@ -17,6 +17,31 @@ from avflock.experiments import (ExperimentSpec, builtin_set, efficiency,
 SMALL = builtin_set("set1", ticks=5, repetitions=2)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The worker count of each process pool started, with the pool replaced
+    by one that runs the tasks in this process and starts nothing."""
+    import concurrent.futures
+
+    made: list[int] = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return made
+
+
 class TestBuiltinSets:
     def test_set1_shape_and_values(self):
         spec = builtin_set("set1")
@@ -181,6 +206,17 @@ class TestRunExperiment:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_experiment(SMALL, jobs=jobs)
+
+    @pytest.mark.parametrize("reps, jobs, pools", [(1, 64, [2]), (2, 3, [3])])
+    def test_pool_has_no_more_workers_than_runs(self, pool_sizes, reps, jobs, pools):
+        spec = ExperimentSpec("cap", SMALL.configurations[:2], repetitions=reps)
+        assert run_experiment(spec, jobs=jobs) == run_experiment(spec, jobs=1)
+        assert pool_sizes == pools
+
+    def test_a_single_run_starts_no_pool(self, pool_sizes):
+        spec = ExperimentSpec("one", SMALL.configurations[:1], repetitions=1)
+        assert run_experiment(spec, jobs=64) == run_experiment(spec, jobs=1)
+        assert pool_sizes == []
 
 
 class TestEfficiency:

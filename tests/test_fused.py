@@ -411,7 +411,7 @@ def _audit_random_grid(world: WorldState) -> None:
     assert grid.buckets == ref.buckets
     xs = [a.x for a in world.agents]
     ys = [a.y for a in world.agents]
-    # candidates are memoised per cell until the next bucketing
+    # the oracle's per-agent neighbor query reads the same buckets
     assert all(grid.candidates(x, y) == ref.candidates(x, y)
                for x, y in zip(xs, ys))
     assert world.active_pairs == ref.scan(xs, ys, world.params.collision_radius,

@@ -6,10 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from avflock.richardson import (PairState, RichardsonParams, Stability, delta,
-                                fixed_point, mirror_delta, simulate,
-                                spectral_radius, stability, stable_preset,
-                                step)
+from avflock.richardson import (PairState, RichardsonParams, Stability,
+                                fixed_point, simulate, spectral_radius,
+                                stability, stable_preset, step)
 
 # symmetric contractive parameters used by several derived examples
 SYM = RichardsonParams(delta1=0.25, delta2=0.25, alpha1=-0.5, alpha2=-0.5,
@@ -36,37 +35,6 @@ def _mat_pow(m, n):
         base = _mat_mul(base, base)
         n >>= 1
     return result
-
-
-class TestDelta:
-    def test_direct_subtraction(self):
-        assert delta(5.0, 3.0) == 2.0
-
-    def test_identity(self):
-        assert delta(1.234, 1.234) == 0.0
-
-    def test_field_fixture_distances(self):
-        assert delta(2.6, 3.2) == pytest.approx(-0.6)
-
-
-class TestMirrorDelta:
-    def test_unit_coefficient(self):
-        p = RichardsonParams(delta1=1.0, delta2=0.0, alpha1=0.0, alpha2=0.0)
-        assert mirror_delta(p, 0.5) == 0.5
-
-    def test_zero_coefficient(self):
-        p = RichardsonParams(delta1=0.0, delta2=0.0, alpha1=0.0, alpha2=0.0)
-        assert mirror_delta(p, 123.0) == 0.0
-
-    def test_scalar_product(self):
-        p = RichardsonParams(delta1=-0.5, delta2=0.0, alpha1=0.0, alpha2=0.0)
-        assert mirror_delta(p, 2.0) == -1.0
-
-    def test_unit_coefficient_recovers_pure_copying(self):
-        # with delta1 = 1: dv1(n) = dv2(n-1)
-        p = RichardsonParams(delta1=1.0, delta2=0.0, alpha1=0.0, alpha2=0.0)
-        v2_prev, v2_prev2 = 4.75, 3.5
-        assert mirror_delta(p, delta(v2_prev, v2_prev2)) == delta(v2_prev, v2_prev2)
 
 
 class TestStep:
@@ -136,9 +104,9 @@ class TestSimulate:
                              g1=0.5, h1=2.0, g2=-0.25, h2=1.5)
         traj = simulate(PairState(0.7, -1.2), p, 50)
         for prev, cur in zip(traj, traj[1:]):
-            assert delta(cur.v1, prev.v1) == pytest.approx(
+            assert cur.v1 - prev.v1 == pytest.approx(
                 p.alpha1 * prev.v1 + p.delta1 * prev.v2 + p.g1 * p.h1, abs=1e-9)
-            assert delta(cur.v2, prev.v2) == pytest.approx(
+            assert cur.v2 - prev.v2 == pytest.approx(
                 p.alpha2 * prev.v2 + p.delta2 * prev.v1 + p.g2 * p.h2, abs=1e-9)
 
 
