@@ -20,7 +20,8 @@ from .core import Scenario, SimParams, from_text, text_names, typed_fields
 from .engine import run
 from .experiments import (ExperimentSpec, builtin_set, efficiency, export_csv,
                           load_spec, run_experiment)
-from .richardson import PairState, RichardsonParams, fixed_point, simulate, stability
+from .richardson import (PairState, RichardsonParams, fixed_point, simulate, stability,
+                         stable_preset)
 
 def _out_path(path: str) -> str:
     """Resolve an output path; AVFLOCK_OUT_DIR prefixes relative paths."""
@@ -132,10 +133,17 @@ def cmd_sweep(args) -> int:
     if args.batches != 1:
         spec = ExperimentSpec(spec.name, spec.configurations, spec.repetitions,
                               spec.base_seed, args.batches)
+    created = False
     if args.out:
         path = _out_path(args.out)
+        created = not os.path.exists(path)
         open(path, "a").close()  # a bad path fails now; "a" keeps the old file
-    rows = run_experiment(spec, jobs=args.jobs)
+    try:
+        rows = run_experiment(spec, jobs=args.jobs)
+    except BaseException:
+        if created:  # leave no empty file behind
+            os.remove(path)
+        raise
     _print_rows(rows)
     if args.out:
         export_csv(rows, path)
@@ -167,10 +175,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_richardson(args) -> int:
-    params = RichardsonParams(
-        delta1=args.delta1, delta2=args.delta2,
-        alpha1=args.alpha1, alpha2=args.alpha2,
-        g1=args.g1, g2=args.g2, h1=args.h1, h2=args.h2)
+    params = RichardsonParams(**{f.name: getattr(args, f.name)
+                                 for f in fields(RichardsonParams)})
     trajectory = simulate(PairState(args.v1, args.v2), params, args.steps)
     lines = [f"# avflock {__version__}", "step,v1,v2"]
     lines += [f"{i},{s.v1!r},{s.v2!r}" for i, s in enumerate(trajectory)]
@@ -240,14 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rich = sub.add_parser(
         "richardson",
         help="dump a trajectory of the two-vehicle relative-position dynamics")
-    p_rich.add_argument("--delta1", type=float, default=0.25)
-    p_rich.add_argument("--delta2", type=float, default=0.25)
-    p_rich.add_argument("--alpha1", type=float, default=-0.5)
-    p_rich.add_argument("--alpha2", type=float, default=-0.5)
-    p_rich.add_argument("--g1", type=float, default=0.0)
-    p_rich.add_argument("--g2", type=float, default=0.0)
-    p_rich.add_argument("--h1", type=float, default=0.0)
-    p_rich.add_argument("--h2", type=float, default=0.0)
+    preset = stable_preset()
+    for f in fields(RichardsonParams):
+        p_rich.add_argument("--" + f.name, type=float, default=getattr(preset, f.name))
     p_rich.add_argument("--v1", type=float, default=1.0, help="initial v1")
     p_rich.add_argument("--v2", type=float, default=0.0, help="initial v2")
     p_rich.add_argument("--steps", type=int, default=20)

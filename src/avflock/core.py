@@ -198,6 +198,8 @@ class SimParams:
             raise ValueError("collision_radius must be positive")
         if self.n_red < 0 or self.n_black < 0:
             raise ValueError("agent counts must be non-negative")
+        if self.n_red + self.n_black == 0:
+            raise ValueError("no agents: n_red + n_black must be at least 1")
         if self.sonar_range < 0:
             raise ValueError(f"sonar_range must be non-negative, got {self.sonar_range}")
         if min(self.world_width, self.world_height) <= 2 * self.sonar_range:

@@ -12,7 +12,8 @@ tick makes one half-shell pass over unordered agent pairs
 (SpatialGrid.scan). It yields the colliding pairs and each agent's nearest
 neighbor within min(sonar_range, min_safety_distance), which is all a social
 decision reads: the nearest agent within sonar range is a threat exactly
-when it lies within that cut.
+when it lies within that cut. That pair rule lives in `_measure` alone;
+every pass only builds its partner lists.
 
 Mirroring a threatening neighbor at reduced speed stops social agents, and
 stopped agents pile into clusters. An agent with speed 0 does not move, so
@@ -20,8 +21,10 @@ its distances to other stopped agents repeat bit for bit. On social ticks
 where at least half the agents are stopped before the move, StaticCache
 keeps the stopped agents' colliding pairs and nearest stopped neighbors
 across ticks and measures only the pairs with a mover in them; it yields
-exactly what SpatialGrid.scan yields. Below half, the cache would cost more
-than it saves: the tick rebuilds and scans, and the cache is dropped.
+exactly what SpatialGrid.scan yields. Each mover is measured against every
+agent around it, so a pair of movers is measured from both ends, to the
+same result. Below half, the cache would cost more than it saves: the tick
+rebuilds and scans, and the cache is dropped.
 
 The random walk scans every tick; its speed floor is min_velocity, so with
 a positive floor nothing in it stops. Its tick draws and makes both moves
@@ -170,15 +173,18 @@ class SpatialGrid:
         reach = max(radius, cut)
         if reach > self.cell_size:
             raise ValueError(f"query reach {reach} exceeds cell size {self.cell_size}")
-        # d >= max(dx, dy), and hypot errs by under an ulp, so a pair with
-        # dx or dy beyond this bound is outside both radius and cut
-        far = reach * (1.0 + 1e-9)
-        w, h = self.width, self.height
-        hypot = math.hypot
         n = len(xs)
-        near = [-1] * n
-        best = [math.inf] * n
         pairs: set[tuple[int, int]] = set()
+        near = [-1] * n
+        _measure(self._partners(), xs, ys, self.width, self.height, radius,
+                 cut, pairs, [math.inf] * n, near)
+        return pairs, near
+
+    def _partners(self):
+        """Yield each agent with its partners: the agents after it in its
+        cell and those in its cell's half-shell, so that every unordered
+        pair of the buckets is listed once. Each list is freed once it is
+        measured, so the cyclic collector never walks a tick's worth."""
         buckets = self.buckets
         get = buckets.get
         edges = self._edges
@@ -202,41 +208,56 @@ class SpatialGrid:
                     shell = edges[key] = self._half_shell(key)
                 others = [j for k in shell for j in get(k, ())]
             if len(cell) == 1:
-                if not others:
-                    continue
-                todo = ((cell[0], others),)
+                if others:
+                    yield cell[0], others
             else:
                 # each same-cell pair once: an agent with those after it
-                todo = [(i, cell[a + 1:] + others) for a, i in enumerate(cell)]
-            for i, partners in todo:
-                xi = xs[i]
-                yi = ys[i]
-                for j in partners:
-                    dx = xi - xs[j]
-                    if dx < 0.0:
-                        dx = -dx
-                    if dx > w - dx:
-                        dx = w - dx
-                    if dx > far:
-                        continue
-                    dy = yi - ys[j]
-                    if dy < 0.0:
-                        dy = -dy
-                    if dy > h - dy:
-                        dy = h - dy
-                    if dy > far:
-                        continue
-                    d = hypot(dx, dy)
-                    if d < radius:
-                        pairs.add((i, j) if i < j else (j, i))
-                    if d <= cut:
-                        if d < best[i] or (d == best[i] and j < near[i]):
-                            best[i] = d
-                            near[i] = j
-                        if d < best[j] or (d == best[j] and i < near[j]):
-                            best[j] = d
-                            near[j] = i
-        return pairs, near
+                for a, i in enumerate(cell):
+                    yield i, cell[a + 1:] + others
+
+
+def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
+             radius: float, cut: float, pairs: set[tuple[int, int]],
+             best: list[float], near: list[int]) -> None:
+    """Measure agent i against each of its partners, for every (i, partners)
+    in `todo`, on the w x h torus.
+
+    A pair strictly inside `radius` is added to `pairs` as (lower id, higher
+    id). A pair at most `cut` apart is merged into both agents' nearest,
+    `best` the distance and `near` the id, ties to the lowest id.
+    """
+    # d >= max(dx, dy), and hypot errs by under an ulp, so a pair with
+    # dx or dy beyond this bound is outside both radius and cut
+    far = max(radius, cut) * (1.0 + 1e-9)
+    hypot = math.hypot
+    for i, partners in todo:
+        xi = xs[i]
+        yi = ys[i]
+        for j in partners:
+            dx = xi - xs[j]
+            if dx < 0.0:
+                dx = -dx
+            if dx > w - dx:
+                dx = w - dx
+            if dx > far:
+                continue
+            dy = yi - ys[j]
+            if dy < 0.0:
+                dy = -dy
+            if dy > h - dy:
+                dy = h - dy
+            if dy > far:
+                continue
+            d = hypot(dx, dy)
+            if d < radius:
+                pairs.add((i, j) if i < j else (j, i))
+            if d <= cut:
+                if d < best[i] or (d == best[i] and j < near[i]):
+                    best[i] = d
+                    near[i] = j
+                if d < best[j] or (d == best[j] and i < near[j]):
+                    best[j] = d
+                    near[j] = i
 
 
 class StaticCache:
@@ -245,7 +266,7 @@ class StaticCache:
     An agent with speed 0 does not move, so the distance between two
     stopped agents is bit-unchanged from tick to tick. The cache holds
     buckets of all agents on the grid's cells, the colliding pairs among
-    the static agents (those stopped since they were linked) and each
+    the static agents (those stopped since they joined) and each
     static agent's nearest static neighbor within the cut as (d, id). A
     tick then measures only the pairs with a mover in them, and `scan`
     returns what SpatialGrid.scan returns over every pair.
@@ -288,47 +309,6 @@ class StaticCache:
                 if near[k] == i and static[k]:
                     dirty.append(k)
 
-    def _renear(self, j: int, xs, ys, cut: float) -> None:
-        """Recompute static agent j's nearest static neighbor within cut."""
-        g = self.grid
-        w, h = g.width, g.height
-        static = self.static
-        get = self.buckets.get
-        xj, yj = xs[j], ys[j]
-        best, near = math.inf, -1
-        for c in g.ring(self.cells[j]):
-            for k in get(c, ()):
-                if k != j and static[k]:
-                    d = torus_distance_xy(xj, yj, xs[k], ys[k], w, h)
-                    if d <= cut and (d < best or (d == best and k < near)):
-                        best, near = d, k
-        self.best[j] = best
-        self.near[j] = near
-
-    def _link(self, i: int, xs, ys, radius: float, cut: float) -> None:
-        """Make freezing agent i static: add its pairs with the static agents
-        and merge it into their nearest and theirs into its."""
-        g = self.grid
-        w, h = g.width, g.height
-        static, best, near = self.static, self.best, self.near
-        get = self.buckets.get
-        xi, yi = xs[i], ys[i]
-        for c in g.ring(self.cells[i]):
-            for k in get(c, ()):
-                if static[k]:
-                    d = torus_distance_xy(xi, yi, xs[k], ys[k], w, h)
-                    if d < radius:
-                        self.pairs.add((i, k) if i < k else (k, i))
-                    if d <= cut:
-                        if d < best[i] or (d == best[i] and k < near[i]):
-                            best[i] = d
-                            near[i] = k
-                        if d < best[k] or (d == best[k] and i < near[k]):
-                            best[k] = d
-                            near[k] = i
-        static[i] = True
-        self.n_static += 1
-
     def scan(self, speeds: list[float], moved: list[int], xs: list[float],
              ys: list[float], radius: float,
              cut: float) -> tuple[set[tuple[int, int]], list[int]]:
@@ -339,26 +319,38 @@ class StaticCache:
         0 and kept its position.
         """
         # the agents that thaw leave the cache from the cell they were
-        # static in, before the movers are re-bucketed; then the static
-        # agents whose nearest thawed look again, and the agents that
+        # static in, before the movers are re-bucketed; the agents that
         # freeze join
         static = self.static
         dirty: list[int] = []
         for i in moved:
             if static[i]:
                 self._unlink(i, dirty)
-        for j in dirty:
-            if static[j]:
-                self._renear(j, xs, ys, cut)
         if self.n_static + len(moved) < len(speeds):
             for i, sp in enumerate(speeds):
                 if sp == 0.0 and not static[i]:
-                    self._link(i, xs, ys, radius, cut)
+                    static[i] = True
+                    self.n_static += 1
+                    dirty.append(i)
+        # the joining agents and the static agents whose nearest thawed
+        # measure against their static neighbors. Merging them into those
+        # neighbors' nearest changes no other static agent: it already
+        # holds its exact nearest.
+        g = self.grid
+        buckets, cells = self.buckets, self.cells
+        get = buckets.get
+        todo = []
+        for j in dirty:
+            if static[j]:
+                self.best[j] = math.inf
+                self.near[j] = -1
+                todo.append((j, [k for c in g.ring(cells[j]) for k in get(c, ())
+                                 if static[k] and k != j]))
+        _measure(todo, xs, ys, g.width, g.height, radius, cut, self.pairs,
+                 self.best, self.near)
 
         # re-bucket the movers whose cell changed
-        g = self.grid
         key_of = g.key
-        buckets, cells = self.buckets, self.cells
         for i in moved:
             key = key_of(xs[i], ys[i])
             old = cells[i]
@@ -375,19 +367,13 @@ class StaticCache:
                     b.append(i)
                 cells[i] = key
 
-        # one 3x3 pass per mover: its pairs with every static agent, and
-        # with each other mover once (from the lower id)
-        w, h = g.width, g.height
-        far = max(radius, cut) * (1.0 + 1e-9)
-        hypot = math.hypot
+        # each mover with every other agent in its 3x3 neighborhood: a pair
+        # of movers is measured from both ends, to the same result
         ring = g.ring
-        get = buckets.get
         ny = g.ny
         inner = g.nx >= 3 and ny >= 3
         last_x, last_y = (g.nx - 1) * ny, ny - 1
-        best = self.best[:]
-        near = self.near[:]
-        pairs: set[tuple[int, int]] = set()
+        todo = []
         for i in moved:
             key = cells[i]
             if inner and ny <= key < last_x and 0 < key % ny < last_y:
@@ -398,35 +384,13 @@ class StaticCache:
                           *get(east - 1, ()), *get(east, ()), *get(east + 1, ())]
             else:
                 others = [j for c in ring(key) for j in get(c, ())]
-            xi = xs[i]
-            yi = ys[i]
-            for j in others:
-                if j <= i and not static[j]:
-                    continue
-                dx = xi - xs[j]
-                if dx < 0.0:
-                    dx = -dx
-                if dx > w - dx:
-                    dx = w - dx
-                if dx > far:
-                    continue
-                dy = yi - ys[j]
-                if dy < 0.0:
-                    dy = -dy
-                if dy > h - dy:
-                    dy = h - dy
-                if dy > far:
-                    continue
-                d = hypot(dx, dy)
-                if d < radius:
-                    pairs.add((i, j) if i < j else (j, i))
-                if d <= cut:
-                    if d < best[i] or (d == best[i] and j < near[i]):
-                        best[i] = d
-                        near[i] = j
-                    if d < best[j] or (d == best[j] and i < near[j]):
-                        best[j] = d
-                        near[j] = i
+            if len(others) > 1:  # most movers are alone around their cell
+                others.remove(i)
+                todo.append((i, others))
+        pairs: set[tuple[int, int]] = set()
+        near = self.near[:]
+        _measure(todo, xs, ys, g.width, g.height, radius, cut, pairs,
+                 self.best[:], near)
         self.xs = xs
         self.ys = ys
         return self.pairs | pairs, near
@@ -447,8 +411,6 @@ def setup(params: SimParams, seed: int | None = None) -> WorldState:
     """Create the initial world: red agents head 90, black head 120, all at
     min velocity, positions independently uniform (x then y per agent)."""
     n = params.n_red + params.n_black
-    if n == 0:
-        raise ValueError("no agents: n_red + n_black must be at least 1")
     rng = random.Random(params.seed if seed is None else seed)
     w, h = params.world_width, params.world_height
     agents = []

@@ -1,6 +1,7 @@
 """CLI surface: flag parsing, exit codes, determinism, file emission."""
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -32,6 +33,14 @@ class TestRun:
     def test_no_agents_is_usage_error(self, capsys):
         assert main(["run", "--red", "0", "--black", "0"]) == 2
         assert "no agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_no_agents_keeps_the_previous_output(self, capsys, tmp_path, flag):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"the previous run's output\n")
+        assert main(["run", "--red", "0", "--black", "0", flag, str(path)]) == 2
+        assert "no agents" in capsys.readouterr().err
+        assert path.read_bytes() == b"the previous run's output\n"
 
     def test_invalid_flag_value_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +171,14 @@ class TestRichardson:
             main(["richardson", "--delta1", "fast"])
         assert exc.value.code == 2
 
+    def test_default_output_pinned(self, capsys):
+        # the default coefficients are stable_preset(): the same bytes as
+        # when the CLI spelled them out by hand
+        assert main(["richardson", "--steps", "20"]) == 0
+        out = capsys.readouterr().out.encode("ascii")
+        assert hashlib.sha256(out).hexdigest() == (
+            "0808f033ae4d6f4ce6c6eb96d0ffacf7f7b081009bffe318cd8b7d0684fb7b24")
+
     def test_csv_to_file(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"
         assert main(["richardson", "--steps", "4", "--out", str(path)]) == 0
@@ -228,6 +245,16 @@ class TestBadInput:
         assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
         assert "run failed" in capsys.readouterr().err
         assert path.read_text() == "the previous sweep's summary\n"
+
+    def test_failed_sweep_leaves_no_new_output(self, capsys, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise ValueError("run failed")
+
+        monkeypatch.setattr("avflock.experiments.run", broken)
+        path = tmp_path / "new.csv"
+        assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
+        assert "run failed" in capsys.readouterr().err
+        assert not path.exists()
 
     @pytest.mark.parametrize("flag", ["--reps", "--ticks", "--base-seed"])
     def test_builtin_only_flag_with_spec_exits_two(self, capsys, tmp_path, flag):
@@ -344,6 +371,11 @@ class TestSchema:
             "-h", "--help", "--scenario", "--seed", "--out", "--trace"}
         assert options("compare") == self.PARAM_OPTIONS | {
             "-h", "--help", "--reps", "--base-seed", "--jobs"}
+
+    def test_richardson_options_pinned(self):
+        assert {o for a in _actions("richardson") for o in a.option_strings} == {
+            "-h", "--help", "--delta1", "--delta2", "--alpha1", "--alpha2", "--g1",
+            "--g2", "--h1", "--h2", "--v1", "--v2", "--steps", "--out"}
 
     @pytest.mark.filterwarnings("ignore::avflock.core.ParamRangeWarning")
     @pytest.mark.parametrize("f, kind", typed_fields(SimParams),

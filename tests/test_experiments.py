@@ -181,9 +181,12 @@ class TestRunExperiment:
         assert len(rows) == 2 * 3
         assert sorted({r.batch for r in rows}) == [0, 1, 2]
 
-    def test_engine_errors_carry_the_configuration_id(self):
-        bad = SimParams(n_red=0, n_black=0, ticks=1)
-        spec = ExperimentSpec("bad", (bad,), repetitions=1)
+    def test_engine_errors_carry_the_configuration_id(self, monkeypatch):
+        def broken(params, seed):
+            raise ValueError("run failed")
+
+        monkeypatch.setattr(ex, "run", broken)
+        spec = ExperimentSpec("bad", (SimParams(ticks=1),), repetitions=1)
         with pytest.raises(ValueError, match="configuration 0"):
             run_experiment(spec)
 

@@ -12,8 +12,9 @@ exact equal-distance ties.
 On social ticks that start with at least half the flock stopped, the tick
 takes the stopped agents' pairs from StaticCache and measures only the
 movers'. The tests at the end audit that pass against a full rebuild + scan
-after every tick, on dense worlds that freeze and thaw for 1000 ticks, and
-check that edits a caller makes between ticks reach the result.
+and an O(n^2) reference after every tick, on dense worlds that freeze and
+thaw for 1000 ticks, and check that edits a caller makes between ticks
+reach the result.
 
 The random-walk tick collects the positions it scans in its move loop; its
 grid and pairs are audited against a fresh SpatialGrid after every tick,
@@ -201,15 +202,23 @@ def test_fused_pass_equals_brute_force():
                   for i, (x, y) in enumerate(zip(xs, ys))]
         grid = SpatialGrid(w, h, max(cut, radius))
         grid.rebuild(agents)
-        pairs, near = grid.scan(xs, ys, radius, cut)
+        assert grid.scan(xs, ys, radius, cut) == _brute_force(xs, ys, w, h, radius, cut)
 
-        dist = [[torus_distance_xy(xs[i], ys[i], xs[j], ys[j], w, h)
-                 for j in range(n)] for i in range(n)]
-        assert pairs == {(i, j) for i in range(n) for j in range(i + 1, n)
-                         if dist[i][j] < radius}
-        for i in range(n):
-            inside = [(dist[i][j], j) for j in range(n) if j != i and dist[i][j] <= cut]
-            assert near[i] == (min(inside)[1] if inside else -1)
+
+def _brute_force(xs, ys, w, h, radius, cut):
+    """The O(n^2) reference of a pair pass: the pairs (i < j) strictly inside
+    `radius`, and per agent its nearest other agent within `cut` as the
+    least (distance, id), or -1."""
+    pairs = set()
+    nearest = [(math.inf, -1)] * len(xs)
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], w, h)
+        if d < radius:
+            pairs.add((i, j))
+        if d <= cut:
+            nearest[i] = min(nearest[i], (d, j))
+            nearest[j] = min(nearest[j], (d, i))
+    return pairs, [j for _, j in nearest]
 
 
 def test_scan_rejects_reach_beyond_cell():
@@ -238,6 +247,8 @@ class _Audit:
             ref.rebuild([AgentState(id=i, team=Team.RED, x=x, y=y, heading=0.0,
                                     speed=0.0) for i, (x, y) in enumerate(zip(xs, ys))])
             assert got == ref.scan(xs, ys, radius, cut)
+            # both passes share _measure: check it against its own oracle too
+            assert got == _brute_force(xs, ys, g.width, g.height, radius, cut)
             self._after(cache, moved, xs, ys, cut)
             return got
 
