@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 
 from . import __version__
@@ -87,6 +87,11 @@ def _open_out(path: str):
 
 def cmd_run(args) -> int:
     params = _params_from(args)
+    # two handles on one file would each truncate it, and the last to
+    # flush would silently win
+    if (args.out and args.trace and os.path.realpath(_out_path(args.out))
+            == os.path.realpath(_out_path(args.trace))):
+        raise ValueError(f"--out and --trace name the same file: {args.out}")
     with contextlib.ExitStack() as stack:
         # open the outputs first: a bad path fails before the simulation
         trace_fh = stack.enter_context(_open_out(args.trace)) if args.trace else None
@@ -130,9 +135,8 @@ def cmd_sweep(args) -> int:
                 raise ValueError(f"{flag} applies to --builtin only; "
                                  "set it in the spec file instead")
         spec = load_spec(args.spec)
-    if args.batches != 1:
-        spec = ExperimentSpec(spec.name, spec.configurations, spec.repetitions,
-                              spec.base_seed, args.batches)
+    if args.batches is not None:
+        spec = replace(spec, batches=args.batches)
     created = False
     if args.out:
         path = _out_path(args.out)
@@ -230,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="first seed (--builtin only; default 1000)")
     p_sweep.add_argument("--ticks", type=int,
                          help="ticks per run (--builtin only; default 1000)")
-    p_sweep.add_argument("--batches", type=int, default=1)
+    p_sweep.add_argument("--batches", type=int,
+                         help="independent replicate batches, one row each per "
+                              "configuration (default 1, or the spec file's)")
     p_sweep.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                          help="worker processes (default: logical cores)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -249,8 +249,5 @@ class WorldState:
     active_pairs: set[tuple[int, int]] = field(default_factory=set)
     # action kind per agent from the latest tick, for trace output
     last_actions: list = field(default_factory=list)
-    # engine-owned per-run state: the spatial grid, the nearest-neighbor cut,
-    # the heading trig memo, the social tick's StaticCache and the params
-    # they were built from; built on the first tick and again when `params`
-    # is replaced
+    # engine-owned per-run state; engine._Index owns its layout
     index: object = None

@@ -6,6 +6,7 @@ in id order, actions are applied in id order, then collisions are detected
 on the post-move positions. The random-walk scenario interleaves its two
 moves per agent as the baseline procedure dictates; its behavior reads no
 neighbor state, so per-agent application is snapshot-equivalent.
+Tick phases: _social_pass, _decide, _tally (random walk: _random_pass, _tally).
 
 Behavior and collision detection read the same post-move positions, so a
 tick makes one half-shell pass over unordered agent pairs
@@ -475,163 +476,177 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
     return _tally(world, now)
 
 
-def _index_for(world: WorldState) -> list:
-    """The engine's per-run state, built on the first tick and again when
-    `world.params` is replaced: the grid, the nearest-neighbor cut, the
-    (sin, cos) memo per heading value, the social tick's StaticCache (None
-    while fewer than half are stopped) and the params it was built from."""
-    index = world.index
-    p = world.params
-    if index is None or index[4] is not p:
-        cut = (min(p.sonar_range, p.min_safety_distance)
-               if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
-        grid = SpatialGrid(p.world_width, p.world_height,
-                           max(cut, p.collision_radius))
-        index = world.index = [grid, cut, {}, None, p]
-    return index
+class _Index:
+    """Per-run state, rebuilt when `world.params` is not `params`: the grid,
+    the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
+    heading and the social tick's StaticCache (None below half stopped)."""
+
+    __slots__ = ("params", "grid", "cut", "trig", "frozen")
+
+    def __init__(self, p: SimParams):
+        self.params = p
+        self.cut = (min(p.sonar_range, p.min_safety_distance)
+                    if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
+        self.grid = SpatialGrid(p.world_width, p.world_height,
+                                max(self.cut, p.collision_radius))
+        self.trig: dict[float, tuple[float, float]] = {}
+        self.frozen: StaticCache | None = None
 
 
-def _sincos(heading: float) -> tuple[float, float]:
-    # the same floats as displace computes for this heading
+def _sincos(trig: dict, heading: float) -> tuple[float, float]:
+    """Memoise and return heading's (sin, cos), the floats displace uses. A
+    pair is truthy, so `trig.get(h) or _sincos(trig, h)` computes on a miss."""
     rad = math.radians(heading % 360.0)
-    return math.sin(rad), math.cos(rad)
+    sc = trig[heading] = (math.sin(rad), math.cos(rad))
+    return sc
 
 
 def tick(world: WorldState) -> WorldState:
     """Advance the world by one tick in place (also returns it)."""
     p = world.params
+    index = world.index
+    if index is None or index.params is not p:
+        index = world.index = _Index(p)
     agents = world.agents
-    w, h = p.world_width, p.world_height
-    index = _index_for(world)
-    grid, cut, trig = index[0], index[1], index[2]
-    maxv = p.max_velocity
-    acc = p.max_acceleration
-    decel = p.deceleration
-    literal = p.literal_rules
-
     if p.scenario is Scenario.ALL_SOCIAL_AVS:
         speeds = [a.speed for a in agents]
-        if 2 * speeds.count(0.0) < len(agents):
-            index[3] = None
-            # move; equal to displace(x, y, heading, speed, w, h)
-            for a in agents:
-                sp = a.speed
-                if sp != 0.0:
-                    sc = trig.get(a.heading)
-                    if sc is None:
-                        sc = trig[a.heading] = _sincos(a.heading)
-                    x = (a.x + sp * sc[0]) % w
-                    y = (a.y + sp * sc[1]) % h
-                    a.x = 0.0 if x >= w else x
-                    a.y = 0.0 if y >= h else y
-            grid.rebuild(agents)
-            now, near = grid.scan([a.x for a in agents], [a.y for a in agents],
-                                  p.collision_radius, cut)
-        else:
-            # at least half the flock is stopped, so most pairs join two
-            # agents that do not move: the cache keeps those, and the pass
-            # measures only the movers' pairs. A caller may edit the world
-            # between ticks, so the cache holds only while every agent is
-            # where its last pass left it.
-            xs = [a.x for a in agents]
-            ys = [a.y for a in agents]
-            frozen = index[3]
-            if frozen is None or frozen.xs != xs or frozen.ys != ys:
-                frozen = index[3] = StaticCache(grid, xs, ys)
-            # the same move, over the movers only
-            moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
-            for i in moved:
-                a = agents[i]
-                sc = trig.get(a.heading)
-                if sc is None:
-                    sc = trig[a.heading] = _sincos(a.heading)
-                sp = speeds[i]
-                x = (xs[i] + sp * sc[0]) % w
-                y = (ys[i] + sp * sc[1]) % h
-                a.x = xs[i] = 0.0 if x >= w else x
-                a.y = ys[i] = 0.0 if y >= h else y
-            now, near = frozen.scan(speeds, moved, xs, ys, p.collision_radius, cut)
-        # decide on the snapshot, apply in id order; equal to social_step
-        headings = [a.heading for a in agents]
-        kinds = [ActionKind.KEEP] * len(agents)
-        for i, j in enumerate(near):
-            a = agents[i]
-            if j >= 0:
-                sp = speeds[j] - decel
-                sp = sp if sp > 0.0 else 0.0
-                if literal:
-                    sp = min(sp + acc, maxv)
-                else:
-                    a.recovering = True
-                a.heading = headings[j]
-                a.speed = sp
-                kinds[i] = ActionKind.MIRROR
-            elif not literal and a.recovering and a.speed < maxv:
-                sp = min(a.speed + acc, maxv)
-                a.speed = sp
-                if sp >= maxv:
-                    a.recovering = False
-                kinds[i] = ActionKind.ACCELERATE
-        world.last_actions = kinds
+        now, near = _social_pass(agents, speeds, index, p)
+        world.last_actions = _decide(agents, speeds, near, p)
     else:
-        # equal to random_walk_step plus its two displace calls: randrange(n)
-        # draws getrandbits(n.bit_length()) until the value is below n
-        getrandbits = world.rng.getrandbits
-        minv = p.min_velocity
-        xs: list[float] = []
-        ys: list[float] = []
-        for a in agents:
-            h1 = getrandbits(7)
-            while h1 >= 89:
-                h1 = getrandbits(7)
-            h2 = getrandbits(8)
-            while h2 >= 200:
-                h2 = getrandbits(8)
-            sp = a.speed
-            if a.random_behaviour:
-                speed = sp + acc
-                if maxv < speed:  # min(sp + acc, maxv)
-                    speed = maxv
-            else:
-                speed = sp + decel if literal else sp - decel
-                if speed < minv:
-                    speed = minv
-            x = a.x
-            y = a.y
-            if sp != 0.0:
-                sc = trig.get(a.heading)
-                if sc is None:
-                    sc = trig[a.heading] = _sincos(a.heading)
-                x = (x + sp * sc[0]) % w
-                y = (y + sp * sc[1]) % h
-                if x >= w:
-                    x = 0.0
-                if y >= h:
-                    y = 0.0
-                # an int turn shares the memo entry of the equal float
-                sc = trig.get(h1)
-                if sc is None:
-                    sc = trig[h1] = _sincos(h1)
-                x = (x + sp * sc[0]) % w
-                y = (y + sp * sc[1]) % h
-                if x >= w:
-                    x = 0.0
-                if y >= h:
-                    y = 0.0
-                a.x = x
-                a.y = y
-            a.heading = float(h2)
-            a.speed = speed
-            a.random_behaviour = not a.random_behaviour
-            xs.append(x)
-            ys.append(y)
-        grid.rebuild(agents)
-        now, _ = grid.scan(xs, ys, p.collision_radius, cut)
+        now = _random_pass(world, index)
         world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
-
     world.collisions_per_tick.append(_tally(world, now))
     world.tick += 1
     return world
+
+
+def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
+                 p: SimParams) -> tuple[set[tuple[int, int]], list[int]]:
+    """Move every social agent, then return the colliding pairs and each
+    agent's nearest neighbor within the cut, as SpatialGrid.scan does."""
+    w, h = p.world_width, p.world_height
+    trig = index.trig
+    if 2 * speeds.count(0.0) < len(agents):
+        index.frozen = None
+        # move; equal to displace(x, y, heading, speed, w, h)
+        for a in agents:
+            sp = a.speed
+            if sp != 0.0:
+                sc = trig.get(a.heading) or _sincos(trig, a.heading)
+                x = (a.x + sp * sc[0]) % w
+                y = (a.y + sp * sc[1]) % h
+                a.x = 0.0 if x >= w else x
+                a.y = 0.0 if y >= h else y
+        index.grid.rebuild(agents)
+        return index.grid.scan([a.x for a in agents], [a.y for a in agents],
+                               p.collision_radius, index.cut)
+    # at least half the flock is stopped, so most pairs join two agents
+    # that do not move: the cache keeps those, and the pass measures only
+    # the movers' pairs. A caller may edit the world between ticks, so the
+    # cache holds only while every agent is where its last pass left it.
+    xs = [a.x for a in agents]
+    ys = [a.y for a in agents]
+    frozen = index.frozen
+    if frozen is None or frozen.xs != xs or frozen.ys != ys:
+        frozen = index.frozen = StaticCache(index.grid, xs, ys)
+    # the same move, over the movers only
+    moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
+    for i in moved:
+        a = agents[i]
+        sc = trig.get(a.heading) or _sincos(trig, a.heading)
+        sp = speeds[i]
+        x = (xs[i] + sp * sc[0]) % w
+        y = (ys[i] + sp * sc[1]) % h
+        a.x = xs[i] = 0.0 if x >= w else x
+        a.y = ys[i] = 0.0 if y >= h else y
+    return frozen.scan(speeds, moved, xs, ys, p.collision_radius, index.cut)
+
+
+def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
+            p: SimParams) -> list[ActionKind]:
+    """Decide on the snapshot, apply in id order; equal to social_step."""
+    maxv, acc, decel = p.max_velocity, p.max_acceleration, p.deceleration
+    literal = p.literal_rules
+    headings = [a.heading for a in agents]
+    kinds = [ActionKind.KEEP] * len(agents)
+    for i, j in enumerate(near):
+        a = agents[i]
+        if j >= 0:
+            sp = speeds[j] - decel
+            sp = sp if sp > 0.0 else 0.0
+            if literal:
+                sp = min(sp + acc, maxv)
+            else:
+                a.recovering = True
+            a.heading = headings[j]
+            a.speed = sp
+            kinds[i] = ActionKind.MIRROR
+        elif not literal and a.recovering and a.speed < maxv:
+            sp = min(a.speed + acc, maxv)
+            a.speed = sp
+            if sp >= maxv:
+                a.recovering = False
+            kinds[i] = ActionKind.ACCELERATE
+    return kinds
+
+
+def _random_pass(world: WorldState, index: _Index) -> set[tuple[int, int]]:
+    """Draw, turn and move every agent, equal to random_walk_step plus its two
+    displace calls, then return the colliding pairs."""
+    p = world.params
+    agents = world.agents
+    trig = index.trig
+    getrandbits = world.rng.getrandbits
+    w, h = p.world_width, p.world_height
+    maxv, minv = p.max_velocity, p.min_velocity
+    acc, decel = p.max_acceleration, p.deceleration
+    literal = p.literal_rules
+    xs: list[float] = []
+    ys: list[float] = []
+    for a in agents:
+        # randrange(n) draws getrandbits(n.bit_length()) until it is below n
+        h1 = getrandbits(7)
+        while h1 >= 89:
+            h1 = getrandbits(7)
+        h2 = getrandbits(8)
+        while h2 >= 200:
+            h2 = getrandbits(8)
+        sp = a.speed
+        if a.random_behaviour:
+            speed = sp + acc
+            if maxv < speed:  # min(sp + acc, maxv)
+                speed = maxv
+        else:
+            speed = sp + decel if literal else sp - decel
+            if speed < minv:
+                speed = minv
+        x = a.x
+        y = a.y
+        if sp != 0.0:
+            sc = trig.get(a.heading) or _sincos(trig, a.heading)
+            x = (x + sp * sc[0]) % w
+            y = (y + sp * sc[1]) % h
+            if x >= w:
+                x = 0.0
+            if y >= h:
+                y = 0.0
+            # an int turn shares the memo entry of the equal float
+            sc = trig.get(h1) or _sincos(trig, h1)
+            x = (x + sp * sc[0]) % w
+            y = (y + sp * sc[1]) % h
+            if x >= w:
+                x = 0.0
+            if y >= h:
+                y = 0.0
+            a.x = x
+            a.y = y
+        a.heading = float(h2)
+        a.speed = speed
+        a.random_behaviour = not a.random_behaviour
+        xs.append(x)
+        ys.append(y)
+    index.grid.rebuild(agents)
+    return index.grid.scan(xs, ys, p.collision_radius, index.cut)[0]
 
 
 def _trace_rows(world: WorldState, tails: dict) -> str:
@@ -667,8 +682,8 @@ def run(params: SimParams, seed: int | None = None, trace=None) -> RunResult:
     `trace`, when given, is a writable text stream receiving one line per
     agent per tick: tick,agent,x,y,heading,speed,action.
     """
+    seed = params.seed if seed is None else seed
     world = setup(params, seed)
-    use_seed = params.seed if seed is None else seed
     if trace is not None:
         trace.write("tick,agent,x,y,heading,speed,action\n")
         tails: dict = {}
@@ -683,5 +698,5 @@ def run(params: SimParams, seed: int | None = None, trace=None) -> RunResult:
         collisions_per_tick=tuple(world.collisions_per_tick),
         per_team_collisions=(red, black),
         params=params,
-        seed=use_seed,
+        seed=seed,
     )

@@ -71,6 +71,17 @@ class TestRun:
     def test_literal_mode_smoke(self):
         assert main(RUN_SMOKE + ["--literal"]) == 0
 
+    @pytest.mark.parametrize("trace", ["x.csv", "sub/../x.csv"])
+    def test_out_and_trace_on_one_file_exits_two(self, capsys, tmp_path, monkeypatch,
+                                                 trace):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"the previous run's output\n")
+        assert main(RUN_SMOKE + ["--out", "x.csv", "--trace", trace]) == 2
+        assert "same file" in capsys.readouterr().err
+        assert path.read_bytes() == b"the previous run's output\n"
+
     def test_out_dir_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("AVFLOCK_OUT_DIR", str(tmp_path))
         assert main(RUN_SMOKE + ["--out", "relative.csv"]) == 0
@@ -117,6 +128,18 @@ class TestSweep:
                        "[config:a]\nn_red = 5\nn_black = 5\nticks = 10\n")
         assert main(["sweep", "--spec", str(cfg), "--jobs", "1"]) == 0
         assert "mini" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("batches, rows", [(None, 6), ("1", 2), ("2", 4)])
+    def test_batches_flag_overrides_the_spec_file(self, tmp_path, batches, rows):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("[experiment]\nname = b\nrepetitions = 1\nbatches = 3\n"
+                       "[config:a]\nscenario = social\nn_red = 5\nn_black = 5\n"
+                       "ticks = 10\n[config:b]\nscenario = social\nn_red = 6\n"
+                       "n_black = 6\nticks = 10\n")
+        out = tmp_path / "b.csv"
+        argv = ["sweep", "--spec", str(cfg), "--jobs", "1", "--out", str(out)]
+        assert main(argv + (["--batches", batches] if batches else [])) == 0
+        assert len(out.read_text().splitlines()) == 2 + rows
 
 
 class TestCompare:
@@ -263,6 +286,13 @@ class TestBadInput:
         assert main(["sweep", "--spec", str(cfg), "--jobs", "1", flag, "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv", [["--builtin", "set1"], ["--spec", "mini.cfg"]])
+    def test_batches_below_one_exits_two(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mini.cfg").write_text("[config:a]\nn_red = 5\nn_black = 5\n")
+        assert main(["sweep", *argv, "--jobs", "1", "--batches", "0"]) == 2
+        assert "batches must be >= 1" in capsys.readouterr().err
 
     def test_negative_sonar_range_exits_two(self, capsys):
         assert main(RUN_SMOKE + ["--sonar-range", "-1"]) == 2

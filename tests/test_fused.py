@@ -170,7 +170,7 @@ def test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis():
         fused, _ = _world_pair(1000 * CASES.index("tiny_grid") + k, "tiny_grid",
                                Scenario.ALL_SOCIAL_AVS, CollisionRule.PAIR_ENTRY, False)
         tick(fused)
-        grid = fused.index[0]
+        grid = fused.index.grid
         assert grid.nx < 3 or grid.ny < 3
 
 
@@ -328,7 +328,7 @@ def _audit_runs(monkeypatch, worlds, ticks: int = 1000):
         cached = []
         for _ in range(ticks):
             tick(world)
-            cached.append(world.index[3] is not None)
+            cached.append(world.index.frozen is not None)
         flips.update(zip(cached, cached[1:]))
     return audit.seen, flips
 
@@ -370,7 +370,7 @@ def test_static_cache_tiny_grid(monkeypatch):
     worlds = [_flock(seed, n_red=10, n_black=10, world_width=2.5,
                      world_height=30.0, sonar_range=1.2) for seed in (3, 4)]
     seen, _ = _audit_runs(monkeypatch, worlds)
-    assert all(w.index[0].nx < 3 for w in worlds)  # (e)
+    assert all(w.index.grid.nx < 3 for w in worlds)  # (e)
     assert seen["thaw"] > 0 and seen["nearest_thaws_across_cells"] > 0
 
 
@@ -401,7 +401,7 @@ def test_static_cache_follows_caller_edits(edit):
     for t in range(150):
         tick(fused)
         oracle_tick(ref)
-    assert fused.index[3] is not None
+    assert fused.index.frozen is not None
     _edit(fused, edit)
     _edit(ref, edit)
     for t in range(20):
@@ -416,7 +416,7 @@ def test_static_cache_follows_caller_edits(edit):
 # of the agents' positions yields.
 
 def _audit_random_grid(world: WorldState) -> None:
-    grid = world.index[0]
+    grid = world.index.grid
     ref = SpatialGrid(grid.width, grid.height, grid.cell_size)
     ref.rebuild(world.agents)
     assert grid.buckets == ref.buckets
@@ -467,7 +467,7 @@ def test_random_walk_buckets_follow_caller_edits(edit, width):
         oracle_tick(ref)
         _audit_random_grid(fused)
         assert _state(fused) == _state(ref), (edit, width, t)
-    assert (fused.index[0].nx < 3) == (width < 3.0)
+    assert (fused.index.grid.nx < 3) == (width < 3.0)
 
 
 # A caller may replace world.params between ticks; the next tick must use
@@ -491,5 +491,5 @@ def test_replaced_params_take_effect(field, before, after):
     p = fused.params
     cut = (min(p.sonar_range, p.min_safety_distance)
            if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
-    assert fused.index[1] == cut
-    assert fused.index[0].cell_size == max(cut, p.collision_radius)
+    assert fused.index.cut == cut
+    assert fused.index.grid.cell_size == max(cut, p.collision_radius)
