@@ -74,8 +74,16 @@ def _params_from(args, **fixed) -> SimParams:
                                 **fixed)
 
 
+def _default_jobs() -> int:
+    """One process per CPU this process may run on: one pinned by taskset or a
+    cpuset may use fewer than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _jobs(text: str) -> int:
-    """The --jobs worker count: an int of at least 1."""
+    """The --jobs process count: an int of at least 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
     return int(text)
@@ -237,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--batches", type=int,
                          help="independent replicate batches, one row each per "
                               "configuration (default 1, or the spec file's)")
-    p_sweep.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
-                         help="worker processes (default: logical cores)")
+    p_sweep.add_argument("--jobs", type=_jobs, default=_default_jobs(),
+                         help="processes that run simulations, this one included "
+                              "(default: one per CPU this process may use)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare",
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_cmp, exclude=("seed", "scenario"))
     p_cmp.add_argument("--reps", type=int, default=8)
     p_cmp.add_argument("--base-seed", type=int, default=1000)
-    p_cmp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p_cmp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rich = sub.add_parser(

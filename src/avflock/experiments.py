@@ -99,19 +99,46 @@ def _run_total(task: tuple[SimParams, int, int]) -> int:
 def _largest_first(tasks: list[tuple[SimParams, int, int]]) -> list[int]:
     """Task indices by descending agent-ticks, ties in task order.
 
-    Submitting the longest runs first keeps a long run from starting last
-    and leaving the other workers idle at the end of the sweep.
+    Claiming the longest runs first keeps a long run from starting last
+    and leaving the other processes idle at the end of the sweep.
     """
     cost = [(p.n_red + p.n_black) * p.ticks for p, _, _ in tasks]
     return sorted(range(len(tasks)), key=lambda t: -cost[t])
 
 
+_counter = None  # a pool worker's handle on the shared next-claim index
+
+
+def _share(counter) -> None:
+    global _counter
+    _counter = counter
+
+
+def _drain(tasks, order: list[int], counter=None) -> dict[int, int]:
+    """Run `tasks[order[k]]` for each k this process claims from the shared
+    counter, until none is left; return {task index: total} of those runs. A
+    run that raises sets the counter past the end: no process starts another."""
+    counter = _counter if counter is None else counter
+    totals = {}
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(order):
+            return totals
+        try:
+            totals[order[k]] = _run_total(tasks[order[k]])
+        except BaseException:
+            counter.value = len(order)
+            raise
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryRow]:
     """Execute the sweep and aggregate each configuration's replicates.
 
-    `jobs` > 1 distributes runs over worker processes, largest first, with
-    no more workers than runs; results are reduced in configuration order,
-    so the output is identical for any job count.
+    `jobs` > 1 runs it in that many processes, this one included, but no more
+    than there are runs; each claims the largest run left until none is.
+    Results are reduced in configuration order: any job count gives the same.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -126,25 +153,38 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryRow]:
                 tasks.append((params, seed, groups[ci]))
                 keys.append((ci, b))
 
-    workers = min(jobs, len(tasks))
-    if workers > 1:
+    workers = min(jobs, len(tasks)) - 1
+    if workers:
         # imported here: the pool stack (multiprocessing, pickle, socket,
         # logging) would otherwise load on every `import avflock`
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import Value
 
         order = _largest_first(tasks)
-        totals = [0] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_run_total, [tasks[t] for t in order],
-                            chunksize=max(1, len(tasks) // (workers * 4)))
-            for t, total in zip(order, done):
-                totals[t] = total
+        counter = Value("i", 0)  # inherited by the workers: it cannot be pickled
+
+        def stop_if_failed(future) -> None:  # a worker raised or died
+            if future.exception() is not None:
+                counter.value = len(order)
+
+        try:
+            with ProcessPoolExecutor(workers, initializer=_share,
+                                     initargs=(counter,)) as pool:
+                futures = [pool.submit(_drain, tasks, order) for _ in range(workers)]
+                for future in futures:
+                    future.add_done_callback(stop_if_failed)
+                totals = _drain(tasks, order, counter)
+                for future in futures:
+                    totals.update(future.result())
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a sweep worker process died: {exc}") from exc
     else:
-        totals = [_run_total(t) for t in tasks]
+        totals = dict(enumerate(map(_run_total, tasks)))
 
     by_key: dict[tuple[int, int], list[int]] = {}
-    for key, total in zip(keys, totals):
-        by_key.setdefault(key, []).append(total)
+    for t, key in enumerate(keys):
+        by_key.setdefault(key, []).append(totals[t])
 
     import statistics  # pulls in decimal and fractions; only sweeps need it
 

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import types
 from enum import Enum
 from pathlib import Path
@@ -16,6 +17,7 @@ import avflock.cli as cli
 from avflock import __version__
 from avflock.cli import build_parser, main
 from avflock.core import ParamRangeWarning, SimParams, text_names, typed_fields
+from avflock.engine import run
 from avflock.experiments import builtin_set, format_rows, load_spec, run_experiment
 
 RUN_SMOKE = ["run", "--scenario", "social", "--red", "10", "--black", "10",
@@ -162,6 +164,21 @@ class TestCompare:
         assert capsys.readouterr().out == first
 
 
+class TestDefaultJobs:
+    @pytest.mark.parametrize("argv", [["sweep", "--builtin", "set1"], ["compare"]])
+    def test_one_process_per_cpu_this_process_may_use(self, monkeypatch, argv):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert build_parser().parse_args(argv).jobs == 2
+
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert build_parser().parse_args(["compare"]).jobs == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(["compare"]).jobs == 1
+
+
 class TestRichardson:
     def test_identity_dynamics_constant_trajectory(self, capsys):
         assert main(["richardson", "--delta1", "0", "--delta2", "0",
@@ -278,6 +295,23 @@ class TestBadInput:
         assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
         assert "run failed" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_dead_sweep_worker_is_one_error_line(self, capfd, monkeypatch):
+        caller = os.getpid()
+
+        def die_in_worker(params, seed):
+            if os.getpid() != caller:
+                os._exit(3)
+            time.sleep(0.05)  # leave the worker time to claim a run and die
+            return run(params, seed)
+
+        monkeypatch.setattr("avflock.experiments.run", die_in_worker)
+        argv = ["sweep", "--builtin", "set1", "--ticks", "5", "--reps", "1",
+                "--jobs", "2"]
+        assert main(argv) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: a sweep worker process died")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--reps", "--ticks", "--base-seed"])
     def test_builtin_only_flag_with_spec_exits_two(self, capsys, tmp_path, flag):

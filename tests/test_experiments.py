@@ -1,6 +1,7 @@
 """Sweep harness contracts: builtin sets, seed schedule, aggregation, CSV."""
 
 import dataclasses
+import os
 import re
 import statistics
 import warnings
@@ -20,14 +21,17 @@ SMALL = builtin_set("set1", ticks=5, repetitions=2)
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
     """The worker count of each process pool started, with the pool replaced
-    by one that runs the tasks in this process and starts nothing."""
+    by one that runs each submitted call in this process and starts nothing."""
     import concurrent.futures
 
     made: list[int] = []
+    # the fake runs the worker initializer here: restore what it sets
+    monkeypatch.setattr(ex, "_counter", None)
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             made.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -35,8 +39,10 @@ def pool_sizes(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return made
@@ -210,7 +216,8 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_experiment(SMALL, jobs=jobs)
 
-    @pytest.mark.parametrize("reps, jobs, pools", [(1, 64, [2]), (2, 3, [3])])
+    # the calling process is one of the `jobs`: the pool has one fewer
+    @pytest.mark.parametrize("reps, jobs, pools", [(1, 64, [1]), (2, 3, [2])])
     def test_pool_has_no_more_workers_than_runs(self, pool_sizes, reps, jobs, pools):
         spec = ExperimentSpec("cap", SMALL.configurations[:2], repetitions=reps)
         assert run_experiment(spec, jobs=jobs) == run_experiment(spec, jobs=1)
@@ -416,7 +423,62 @@ class TestScheduling:
 
     def test_pool_with_batches_matches_sequential(self):
         spec = ExperimentSpec("mixed", self.MIXED, repetitions=2, batches=2)
-        rows = run_experiment(spec, jobs=2)
-        assert rows == run_experiment(spec, jobs=1)
-        assert format_rows(rows) == format_rows(run_experiment(spec, jobs=1))
-        assert len(rows) == 4 * 2
+        sequential = run_experiment(spec, jobs=1)
+        assert len(sequential) == 4 * 2
+        for jobs in (2, 3):
+            rows = run_experiment(spec, jobs=jobs)
+            assert rows == sequential
+            assert format_rows(rows) == format_rows(sequential)
+
+
+def _log_runs(monkeypatch, log, fails=lambda params: False) -> None:
+    """Append one line per run started, in any process, to `log`; the runs
+    whose params `fails` accepts raise. Pool workers inherit the patch."""
+    def logged(params, seed):
+        with open(log, "a", encoding="ascii") as fh:  # one short O_APPEND write
+            fh.write(f"{params.n_red} {params.scenario.value} {seed}\n")
+        if fails(params):
+            raise ValueError("run failed")
+        return run(params, seed)
+
+    monkeypatch.setattr(ex, "run", logged)
+
+
+class TestSharedClaims:
+    def test_every_run_starts_once(self, monkeypatch, tmp_path):
+        # 200 one-tick runs over 4 processes: the claims contend hard, and
+        # a lost counter update would start a run twice or never
+        spec = builtin_set("set1", ticks=1, repetitions=20)
+        logs = {jobs: tmp_path / f"jobs{jobs}.log" for jobs in (1, 4)}
+        rows = {}
+        for jobs, log in logs.items():
+            _log_runs(monkeypatch, log)
+            rows[jobs] = run_experiment(spec, jobs=jobs)
+        assert rows[4] == rows[1]
+        started = {jobs: log.read_text().splitlines() for jobs, log in logs.items()}
+        assert len(started[1]) == len(set(started[1])) == 200
+        assert sorted(started[4]) == sorted(started[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_run_stops_every_process(self, monkeypatch, tmp_path, jobs):
+        # the four 80 + 80 runs (seed group 4) raise; they are the last in
+        # task order and the first a pool claims
+        log = tmp_path / "runs.log"
+        _log_runs(monkeypatch, log, fails=lambda params: params.n_red == 80)
+        spec = builtin_set("set1", ticks=50, repetitions=2)
+        with pytest.raises(ValueError, match=r"^configuration 4: run failed$"):
+            run_experiment(spec, jobs=jobs)
+        started = len(log.read_text().splitlines())
+        if jobs == 1:
+            assert started == 17  # the 16 smaller runs, then the first failure
+        else:
+            assert 1 <= started <= jobs  # each process's first run raises
+
+    def test_a_failure_in_the_caller_stops_the_worker(self, monkeypatch, tmp_path):
+        # the worker's runs succeed: only the counter can stop it
+        caller = os.getpid()
+        log = tmp_path / "runs.log"
+        _log_runs(monkeypatch, log, fails=lambda params: os.getpid() == caller)
+        with pytest.raises(ValueError, match="run failed"):
+            run_experiment(builtin_set("set1", ticks=50, repetitions=2), jobs=2)
+        assert 1 <= len(log.read_text().splitlines()) <= 2
