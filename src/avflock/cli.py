@@ -148,6 +148,8 @@ def cmd_sweep(args) -> int:
     created = False
     if args.out:
         path = _out_path(args.out)
+        if args.spec and os.path.realpath(path) == os.path.realpath(args.spec):
+            raise ValueError(f"--out names the --spec file: {args.out}")
         created = not os.path.exists(path)
         open(path, "a").close()  # a bad path fails now; "a" keeps the old file
     try:

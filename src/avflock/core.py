@@ -192,6 +192,8 @@ class SimParams:
                 raise ValueError(f"{f.name} must be finite, got {v}")
         if self.ticks < 1:
             raise ValueError(f"ticks must be >= 1, got {self.ticks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.world_width <= 0 or self.world_height <= 0:
             raise ValueError("world dimensions must be positive")
         if self.collision_radius <= 0:

@@ -22,10 +22,12 @@ its distances to other stopped agents repeat bit for bit. On social ticks
 where at least half the agents are stopped before the move, StaticCache
 keeps the stopped agents' colliding pairs and nearest stopped neighbors
 across ticks and measures only the pairs with a mover in them; it yields
-exactly what SpatialGrid.scan yields. Each mover is measured against every
-agent around it, so a pair of movers is measured from both ends, to the
-same result. Below half, the cache would cost more than it saves: the tick
-rebuilds and scans, and the cache is dropped.
+exactly what SpatialGrid.scan yields. The grid keeps the only bucket map
+(the cache re-buckets its movers with SpatialGrid.move), and every pass
+lists a cell's 3x3 block with SpatialGrid.around. Each mover is measured
+against every agent around it, so a pair of movers is measured from both
+ends, to the same result. Below half, the cache would cost more than it
+saves: the tick rebuilds and scans, and the cache is dropped.
 
 The random walk scans every tick; its speed floor is min_velocity, so with
 a positive floor nothing in it stops. Its tick draws and makes both moves
@@ -43,7 +45,7 @@ the previous tick's pairs (world.active_pairs); agents keep only tallies.
 The per-agent functions (social_step, random_walk_step, displace,
 detect_collisions, SpatialGrid.candidates) are the reference the tick
 reproduces bit for bit; the tests replay them as its oracle. Its grid
-query shares SpatialGrid.key and SpatialGrid.ring with the fast passes.
+query shares SpatialGrid.key and SpatialGrid.around with the fast passes.
 
 All randomness flows through one seeded generator consumed in agent-id
 order, which makes run(params, seed) referentially transparent.
@@ -117,33 +119,64 @@ class SpatialGrid:
             cy = self.ny - 1
         return cx * self.ny + cy
 
-    def ring(self, key: int) -> tuple[int, ...]:
-        """The distinct keys of the 3x3 wrapped neighborhood of cell `key`.
+    def move(self, ids: list[int], cells: list[int], xs: list[float],
+             ys: list[float]) -> None:
+        """Re-bucket agents `ids` at their new positions in `xs`/`ys`.
+        `cells` holds every agent's current key and is updated in place."""
+        buckets = self.buckets
+        key_of = self.key
+        for i in ids:
+            key = key_of(xs[i], ys[i])
+            old = cells[i]
+            if key != old:
+                b = buckets[old]
+                if len(b) == 1:
+                    del buckets[old]
+                else:
+                    b.remove(i)
+                b = buckets.get(key)
+                if b is None:
+                    buckets[key] = [i]
+                else:
+                    b.append(i)
+                cells[i] = key
 
-        Interior cells compute theirs; only the cells whose stencil wraps
-        are memoized, so the memo grows with the perimeter, not the area.
-        """
-        ny = self.ny
-        cx, cy = divmod(key, ny)
-        if 0 < cx < self.nx - 1 and 0 < cy < ny - 1:
-            w = key - ny
-            e = key + ny
-            return (w - 1, w, w + 1, key - 1, key, key + 1, e - 1, e, e + 1)
+    def ring(self, key: int) -> tuple[int, ...]:
+        """The distinct keys of the 3x3 wrapped neighborhood of cell `key`,
+        memoized. `around` computes the interior cells' own: the memo holds
+        cells whose stencil wraps, and grows with the perimeter, not the area."""
         hood = self._rings.get(key)
         if hood is None:
-            nx = self.nx
+            nx, ny = self.nx, self.ny
+            cx, cy = divmod(key, ny)
             cells = {((cx + dx) % nx) * ny + ((cy + dy) % ny)
                      for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
             hood = self._rings[key] = tuple(sorted(cells))
         return hood
+
+    def around(self, keys):
+        """Yield, for each key in `keys`, the ids bucketed in the cell's
+        wrapped 3x3 neighborhood, each once, cell by cell in key order."""
+        get = self.buckets.get
+        ny = self.ny
+        last_x, last_y = (self.nx - 1) * ny, ny - 1
+        for key in keys:
+            # no key passes on a grid with fewer than 3 cells on an axis
+            if ny <= key < last_x and 0 < key % ny < last_y:
+                w = key - ny
+                e = key + ny
+                yield [*get(w - 1, ()), *get(w, ()), *get(w + 1, ()),
+                       *get(key - 1, ()), *get(key, ()), *get(key + 1, ()),
+                       *get(e - 1, ()), *get(e, ()), *get(e + 1, ())]
+            else:
+                yield [j for c in self.ring(key) for j in get(c, ())]
 
     def candidates(self, x: float, y: float) -> list[int]:
         """Ids of all agents bucketed in the 3x3 neighborhood of (x, y).
 
         A superset of any radius query up to cell_size; includes the caller.
         """
-        get = self.buckets.get
-        return [j for c in self.ring(self.key(x, y)) for j in get(c, ())]
+        return next(self.around((self.key(x, y),)))
 
     def _half_shell(self, key: int) -> tuple[int, ...]:
         """The neighbor cells of `key` whose pairs with it `scan` visits.
@@ -265,24 +298,22 @@ class StaticCache:
     """The pairs of the stopped agents, kept across social ticks.
 
     An agent with speed 0 does not move, so the distance between two
-    stopped agents is bit-unchanged from tick to tick. The cache holds
-    buckets of all agents on the grid's cells, the colliding pairs among
-    the static agents (those stopped since they joined) and each
-    static agent's nearest static neighbor within the cut as (d, id). A
-    tick then measures only the pairs with a mover in them, and `scan`
-    returns what SpatialGrid.scan returns over every pair.
+    stopped agents is bit-unchanged from tick to tick. The cache holds each
+    agent's cell key (the grid's buckets, which `scan` keeps current, hold
+    the agents), the colliding pairs among the static agents (those stopped
+    since they joined) and each static agent's nearest static neighbor
+    within the cut as (d, id). A tick then measures only the pairs with a
+    mover in them, and `scan` returns what SpatialGrid.scan returns.
     """
 
-    __slots__ = ("grid", "buckets", "cells", "static", "n_static", "pairs",
-                 "best", "near", "xs", "ys")
+    __slots__ = ("grid", "cells", "static", "n_static", "pairs", "best",
+                 "near", "xs", "ys")
 
     def __init__(self, grid: SpatialGrid, xs: list[float], ys: list[float]):
-        """Bucket every agent at (xs, ys), by id; none is static yet."""
+        """A cache over `grid`, whose buckets hold the agents at (xs, ys),
+        by id; none is static yet."""
         self.grid = grid
-        self.buckets: dict[int, list[int]] = {}
         self.cells = [grid.key(x, y) for x, y in zip(xs, ys)]
-        for i, key in enumerate(self.cells):
-            self.buckets.setdefault(key, []).append(i)
         n = len(xs)
         self.static = [False] * n
         self.n_static = 0
@@ -293,22 +324,19 @@ class StaticCache:
         self.xs = xs
         self.ys = ys
 
-    def _unlink(self, i: int, dirty: list[int]) -> None:
+    def _unlink(self, i: int, block: list[int], dirty: list[int]) -> None:
         """Drop thawing agent i and its static pairs; `dirty` receives the
-        static agents whose cached nearest it was. Both lie around the cell
-        i was static in, which `cells` holds until the movers are
-        re-bucketed."""
+        static agents whose cached nearest it was. Both lie in `block`, the
+        agents around the cell i was static in."""
         static, near, pairs = self.static, self.near, self.pairs
         static[i] = False
         self.n_static -= 1
         self.best[i] = math.inf
         near[i] = -1
-        get = self.buckets.get
-        for c in self.grid.ring(self.cells[i]):
-            for k in get(c, ()):
-                pairs.discard((i, k) if i < k else (k, i))
-                if near[k] == i and static[k]:
-                    dirty.append(k)
+        for k in block:
+            pairs.discard((i, k) if i < k else (k, i))
+            if near[k] == i and static[k]:
+                dirty.append(k)
 
     def scan(self, speeds: list[float], moved: list[int], xs: list[float],
              ys: list[float], radius: float,
@@ -322,11 +350,13 @@ class StaticCache:
         # the agents that thaw leave the cache from the cell they were
         # static in, before the movers are re-bucketed; the agents that
         # freeze join
-        static = self.static
+        g = self.grid
+        static, cells = self.static, self.cells
         dirty: list[int] = []
-        for i in moved:
-            if static[i]:
-                self._unlink(i, dirty)
+        thaw = [i for i in moved if static[i]]
+        if thaw:  # on most ticks no agent thaws and none freezes
+            for i, block in zip(thaw, g.around([cells[i] for i in thaw])):
+                self._unlink(i, block, dirty)
         if self.n_static + len(moved) < len(speeds):
             for i, sp in enumerate(speeds):
                 if sp == 0.0 and not static[i]:
@@ -337,54 +367,21 @@ class StaticCache:
         # measure against their static neighbors. Merging them into those
         # neighbors' nearest changes no other static agent: it already
         # holds its exact nearest.
-        g = self.grid
-        buckets, cells = self.buckets, self.cells
-        get = buckets.get
-        todo = []
-        for j in dirty:
-            if static[j]:
+        dirty = [j for j in dirty if static[j]]
+        if dirty:
+            for j in dirty:
                 self.best[j] = math.inf
                 self.near[j] = -1
-                todo.append((j, [k for c in g.ring(cells[j]) for k in get(c, ())
-                                 if static[k] and k != j]))
-        _measure(todo, xs, ys, g.width, g.height, radius, cut, self.pairs,
-                 self.best, self.near)
-
-        # re-bucket the movers whose cell changed
-        key_of = g.key
-        for i in moved:
-            key = key_of(xs[i], ys[i])
-            old = cells[i]
-            if key != old:
-                b = buckets[old]
-                if len(b) == 1:
-                    del buckets[old]
-                else:
-                    b.remove(i)
-                b = buckets.get(key)
-                if b is None:
-                    buckets[key] = [i]
-                else:
-                    b.append(i)
-                cells[i] = key
+            todo = [(j, [k for k in block if static[k] and k != j]) for j, block
+                    in zip(dirty, g.around([cells[j] for j in dirty]))]
+            _measure(todo, xs, ys, g.width, g.height, radius, cut, self.pairs,
+                     self.best, self.near)
 
         # each mover with every other agent in its 3x3 neighborhood: a pair
         # of movers is measured from both ends, to the same result
-        ring = g.ring
-        ny = g.ny
-        inner = g.nx >= 3 and ny >= 3
-        last_x, last_y = (g.nx - 1) * ny, ny - 1
+        g.move(moved, cells, xs, ys)
         todo = []
-        for i in moved:
-            key = cells[i]
-            if inner and ny <= key < last_x and 0 < key % ny < last_y:
-                west = key - ny
-                east = key + ny
-                others = [*get(west - 1, ()), *get(west, ()), *get(west + 1, ()),
-                          *get(key - 1, ()), *get(key, ()), *get(key + 1, ()),
-                          *get(east - 1, ()), *get(east, ()), *get(east + 1, ())]
-            else:
-                others = [j for c in ring(key) for j in get(c, ())]
+        for i, others in zip(moved, g.around([cells[i] for i in moved])):
             if len(others) > 1:  # most movers are alone around their cell
                 others.remove(i)
                 todo.append((i, others))
@@ -411,6 +408,8 @@ class RunResult:
 def setup(params: SimParams, seed: int | None = None) -> WorldState:
     """Create the initial world: red agents head 90, black head 120, all at
     min velocity, positions independently uniform (x then y per agent)."""
+    if seed is not None and seed < 0:  # random.Random(-s) is random.Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = params.n_red + params.n_black
     rng = random.Random(params.seed if seed is None else seed)
     w, h = params.world_width, params.world_height
@@ -548,6 +547,7 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
     ys = [a.y for a in agents]
     frozen = index.frozen
     if frozen is None or frozen.xs != xs or frozen.ys != ys:
+        index.grid.rebuild(agents)
         frozen = index.frozen = StaticCache(index.grid, xs, ys)
     # the same move, over the movers only
     moved = [i for i, sp in enumerate(speeds) if sp != 0.0]

@@ -44,6 +44,12 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
+        if self.base_seed < 0:  # seeds -s and s would give the same stream
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        # the name is a field of every summary CSV row, written unquoted
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError("name must not contain a comma, a quote or a line "
+                             f"break, got {self.name!r}")
         # identical configurations would give indistinguishable rows
         first: dict[SimParams, int] = {}
         for i, params in enumerate(self.configurations):

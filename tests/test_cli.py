@@ -328,6 +328,46 @@ class TestBadInput:
         assert main(["sweep", *argv, "--jobs", "1", "--batches", "0"]) == 2
         assert "batches must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        RUN_SMOKE + ["--seed", "-1", "--out", "out.csv", "--trace", "t.csv"],
+        TestSweep.ARGS + ["--base-seed", "-1", "--out", "out.csv"],
+        ["compare", "--base-seed", "-1", "--ticks", "5", "--reps", "1",
+         "--jobs", "1"],
+    ], ids=["run", "sweep", "compare"])
+    def test_negative_seed_exits_two(self, capsys, tmp_path, monkeypatch, argv):
+        # random.Random(-1) seeds like random.Random(1)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+        assert list(tmp_path.iterdir()) == []  # no output was opened
+
+    def test_spec_name_with_a_comma_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text("[experiment]\nname = a,b\n"
+                       "[config:a]\nn_red = 5\nn_black = 5\nticks = 10\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1",
+                     "--out", str(out)]) == 2
+        assert "name must not contain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out_dir", [False, True])
+    def test_sweep_out_on_the_spec_file_exits_two(self, capsys, tmp_path,
+                                                   monkeypatch, out_dir):
+        cfg = tmp_path / "mini.cfg"
+        text = "[config:a]\nn_red = 5\nn_black = 5\nticks = 10\n"
+        cfg.write_text(text)
+        out = str(cfg)
+        if out_dir:  # AVFLOCK_OUT_DIR prefixes a relative --out
+            monkeypatch.setenv("AVFLOCK_OUT_DIR", str(tmp_path / "sub" / ".."))
+            (tmp_path / "sub").mkdir()
+            out = "mini.cfg"
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1",
+                     "--out", out]) == 2
+        assert "--out names the --spec file" in capsys.readouterr().err
+        assert cfg.read_text() == text
+
     def test_negative_sonar_range_exits_two(self, capsys):
         assert main(RUN_SMOKE + ["--sonar-range", "-1"]) == 2
         assert "sonar_range must be non-negative" in capsys.readouterr().err

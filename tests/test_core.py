@@ -127,6 +127,12 @@ class TestSimParams:
         with pytest.raises(ValueError, match="sonar_range must be non-negative"):
             SimParams(sonar_range=-1.0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-7) seeds like random.Random(7): -7 would replay 7
+        with pytest.raises(ValueError, match="seed must be >= 0, got -7"):
+            SimParams(seed=-7)
+        assert SimParams(seed=0).seed == 0
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n_red=-1)

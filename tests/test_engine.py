@@ -4,6 +4,7 @@ and grid/brute-force equivalence."""
 import copy
 import dataclasses
 import io
+import itertools
 import random
 
 import pytest
@@ -60,6 +61,14 @@ class TestSetup:
     def test_rejects_empty_world(self):
         with pytest.raises(ValueError, match="no agents"):
             setup(SimParams(n_red=0, n_black=0), seed=1)
+
+    def test_rejects_negative_seed(self):
+        # random.Random(-7) seeds like random.Random(7): run(p, -7) replayed
+        # run(p, 7) tick for tick
+        with pytest.raises(ValueError, match="seed must be >= 0, got -7"):
+            setup(TABLE1, seed=-7)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run(dataclasses.replace(TABLE1, ticks=1), -1)
 
     def test_ids_are_list_indices(self):
         world = setup(TABLE1, seed=4)
@@ -354,6 +363,27 @@ class TestSpatialGrid:
                                                    agents[j].y, w, h) < radius:
                         grid_pairs.add((i, j))
             assert grid_pairs == brute_pairs(agents, radius, w, h)
+
+    @pytest.mark.parametrize("nx, ny", [*itertools.product(range(1, 5), repeat=2),
+                                        (7, 5)])
+    def test_around_lists_each_wrapped_block_once(self, nx, ny):
+        # 0-2 agents per cell; every key, in one call as the engine makes it
+        rng = random.Random(10 * nx + ny)
+        cell_of = [c for c in itertools.product(range(nx), range(ny))
+                   for _ in range(rng.randrange(3))]
+        agents = [AgentState(id=i, team=Team.RED, x=cx + rng.uniform(0.05, 0.95),
+                             y=cy + rng.uniform(0.05, 0.95), heading=0.0, speed=0.0)
+                  for i, (cx, cy) in enumerate(cell_of)]
+        grid = SpatialGrid(float(nx), float(ny), 1.0)
+        assert (grid.nx, grid.ny) == (nx, ny)
+        grid.rebuild(agents)
+        keys = range(nx * ny)
+        for key, got in zip(keys, grid.around(keys), strict=True):
+            cx, cy = divmod(key, ny)
+            block = {((cx + dx) % nx, (cy + dy) % ny)
+                     for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+            # equal to an ascending list of distinct ids: no id twice
+            assert sorted(got) == [i for i, c in enumerate(cell_of) if c in block]
 
     def test_tiny_grid_neighborhoods_deduplicate(self):
         # 2x2 cells: the wrapped 3x3 stencil collapses without double counting

@@ -204,6 +204,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec("x", (SimParams(ticks=1),), repetitions=0)
 
+    def test_negative_base_seed_rejected(self):
+        # base_seed -2 with 4 replicates ran seeds -2..1, and -1 replays 1
+        with pytest.raises(ValueError, match="base_seed must be >= 0, got -2"):
+            ExperimentSpec("x", (SimParams(ticks=1),), repetitions=4, base_seed=-2)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_name_that_breaks_a_csv_row_rejected(self, name):
+        with pytest.raises(ValueError, match="name must not contain"):
+            ExperimentSpec(name, (SimParams(ticks=1),))
+
     def test_identical_configurations_rejected(self):
         a, b = SimParams(ticks=1), SimParams(ticks=2)
         with pytest.raises(ValueError, match="configurations 0 and 2 are identical"):

@@ -247,6 +247,10 @@ class _Audit:
             ref.rebuild([AgentState(id=i, team=Team.RED, x=x, y=y, heading=0.0,
                                     speed=0.0) for i, (x, y) in enumerate(zip(xs, ys))])
             assert got == ref.scan(xs, ys, radius, cut)
+            # the grid's one bucket map follows the movers: each cell holds
+            # the ids a fresh rebuild puts there, in any order
+            assert ({k: sorted(b) for k, b in g.buckets.items()}
+                    == {k: sorted(b) for k, b in ref.buckets.items()})
             # both passes share _measure: check it against its own oracle too
             assert got == _brute_force(xs, ys, g.width, g.height, radius, cut)
             self._after(cache, moved, xs, ys, cut)
