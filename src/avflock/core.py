@@ -210,6 +210,10 @@ class SimParams:
                 f"({self.world_width}x{self.world_height} vs sonar {self.sonar_range})")
         if self.min_velocity < 0 or self.max_velocity < 0:
             raise ValueError("velocities must be non-negative")
+        if self.min_velocity > self.max_velocity:
+            # random walkers are held to [min_velocity, max_velocity]
+            raise ValueError(f"min_velocity ({self.min_velocity}) must not exceed "
+                             f"max_velocity ({self.max_velocity})")
         if self.max_acceleration < 0 or self.deceleration < 0:
             raise ValueError("acceleration rates must be non-negative")
         if self.min_safety_distance < 0:

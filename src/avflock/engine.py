@@ -27,7 +27,15 @@ exactly what SpatialGrid.scan yields. The grid keeps the only bucket map
 lists a cell's 3x3 block with SpatialGrid.around. Each mover is measured
 against every agent around it, so a pair of movers is measured from both
 ends, to the same result. Below half, the cache would cost more than it
-saves: the tick rebuilds and scans, and the cache is dropped.
+saves, and the cache is dropped.
+
+Below half stopped, a slow, sparse flock's neighborhoods barely change from
+one tick to the next. There the tick keeps a Verlet list of the pairs that
+were within reach + skin when it was built and measures only those; it is
+rebuilt once the flock could have closed the skin (see _Index). Otherwise,
+when the flock is too fast or too dense for the list to pay, the tick
+rebuilds and scans. The list and the cache hold only while every agent is
+where the last social pass left it.
 
 The random walk scans every tick; its speed floor is min_velocity, so with
 a positive floor nothing in it stops. Its tick draws and makes both moves
@@ -124,9 +132,18 @@ class SpatialGrid:
         """Re-bucket agents `ids` at their new positions in `xs`/`ys`.
         `cells` holds every agent's current key and is updated in place."""
         buckets = self.buckets
-        key_of = self.key
+        nx, ny = self.nx, self.ny
+        sx, sy = self._sx, self._sy
         for i in ids:
-            key = key_of(xs[i], ys[i])
+            # SpatialGrid.key, inline: a call per mover costs more than the
+            # arithmetic
+            cx = int(xs[i] * sx)
+            cy = int(ys[i] * sy)
+            if cx >= nx:
+                cx = nx - 1
+            if cy >= ny:
+                cy = ny - 1
+            key = cx * ny + cy
             old = cells[i]
             if key != old:
                 b = buckets[old]
@@ -307,7 +324,7 @@ class StaticCache:
     """
 
     __slots__ = ("grid", "cells", "static", "n_static", "pairs", "best",
-                 "near", "xs", "ys")
+                 "near")
 
     def __init__(self, grid: SpatialGrid, xs: list[float], ys: list[float]):
         """A cache over `grid`, whose buckets hold the agents at (xs, ys),
@@ -320,9 +337,6 @@ class StaticCache:
         self.pairs: set[tuple[int, int]] = set()
         self.best = [math.inf] * n
         self.near = [-1] * n
-        # the positions of the last scan, which the next tick must start from
-        self.xs = xs
-        self.ys = ys
 
     def _unlink(self, i: int, block: list[int], dirty: list[int]) -> None:
         """Drop thawing agent i and its static pairs; `dirty` receives the
@@ -389,8 +403,6 @@ class StaticCache:
         near = self.near[:]
         _measure(todo, xs, ys, g.width, g.height, radius, cut, pairs,
                  self.best[:], near)
-        self.xs = xs
-        self.ys = ys
         return self.pairs | pairs, near
 
 
@@ -478,18 +490,47 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
-    heading and the social tick's StaticCache (None below half stopped)."""
+    heading, the social tick's StaticCache (None below half stopped) and its
+    neighbor list (None when the tick does not use it), and the positions
+    the last social pass left, which the cache and the list hold for.
 
-    __slots__ = ("params", "grid", "cut", "trig", "frozen")
+    The neighbor list (a Verlet list) serves social ticks below half
+    stopped. With reach = max(cut, collision_radius), skin = 2 * reach and
+    span = reach + skin, `listed` holds the (i, partners) lists of the pairs
+    closer than `span` when it was built, from a second grid (`wide`) with
+    cell `span`. A tick moves each agent by its speed, so no pair closes by
+    more than twice the largest one, plus a per-move rounding allowance
+    (`ulp`); `slack` is what the list can still absorb. A pair missing from
+    the list was at least `span` apart and has closed by less than `skin`,
+    so it is still beyond `reach`, and `_measure` over the list yields what
+    SpatialGrid.scan yields. The list is used only while it lasts at least
+    two ticks (4 * speed <= skin) and, from the spawn density, would hold
+    at most about one pair per agent (`wide` is None otherwise): past
+    either bound it costs more than the grid pass it replaces.
+    """
+
+    __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
+                 "wide", "span", "skin", "ulp", "listed", "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
-        self.cut = (min(p.sonar_range, p.min_safety_distance)
-                    if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
-        self.grid = SpatialGrid(p.world_width, p.world_height,
-                                max(self.cut, p.collision_radius))
+        w, h = p.world_width, p.world_height
+        social = p.scenario is Scenario.ALL_SOCIAL_AVS
+        self.cut = min(p.sonar_range, p.min_safety_distance) if social else -1.0
+        reach = max(self.cut, p.collision_radius)
+        self.grid = SpatialGrid(w, h, reach)
         self.trig: dict[float, tuple[float, float]] = {}
         self.frozen: StaticCache | None = None
+        self.xs: list[float] | None = None
+        self.ys: list[float] | None = None
+        self.skin = 2.0 * reach
+        self.span = reach + self.skin
+        density = (p.n_red + p.n_black) / (w * h)
+        self.wide = (SpatialGrid(w, h, self.span) if social
+                     and density * math.pi * self.span ** 2 / 2.0 <= 1.0 else None)
+        self.ulp = 4.0 * math.ulp(max(w, h))
+        self.listed: list[tuple[int, list[int]]] | None = None
+        self.slack = 0.0
 
 
 def _sincos(trig: dict, heading: float) -> tuple[float, float]:
@@ -525,30 +566,36 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
     agent's nearest neighbor within the cut, as SpatialGrid.scan does."""
     w, h = p.world_width, p.world_height
     trig = index.trig
-    if 2 * speeds.count(0.0) < len(agents):
+    cached = 2 * speeds.count(0.0) >= len(agents)
+    if not cached:
         index.frozen = None
-        # move; equal to displace(x, y, heading, speed, w, h)
-        for a in agents:
-            sp = a.speed
-            if sp != 0.0:
-                sc = trig.get(a.heading) or _sincos(trig, a.heading)
-                x = (a.x + sp * sc[0]) % w
-                y = (a.y + sp * sc[1]) % h
-                a.x = 0.0 if x >= w else x
-                a.y = 0.0 if y >= h else y
-        index.grid.rebuild(agents)
-        return index.grid.scan([a.x for a in agents], [a.y for a in agents],
-                               p.collision_radius, index.cut)
-    # at least half the flock is stopped, so most pairs join two agents
-    # that do not move: the cache keeps those, and the pass measures only
-    # the movers' pairs. A caller may edit the world between ticks, so the
-    # cache holds only while every agent is where its last pass left it.
+        top = max(max(speeds), -min(speeds))  # a negative speed moves back
+        if index.wide is None or 4.0 * top > index.skin:
+            index.listed = None
+            # move; equal to displace(x, y, heading, speed, w, h)
+            for a in agents:
+                sp = a.speed
+                if sp != 0.0:
+                    sc = trig.get(a.heading) or _sincos(trig, a.heading)
+                    x = (a.x + sp * sc[0]) % w
+                    y = (a.y + sp * sc[1]) % h
+                    a.x = 0.0 if x >= w else x
+                    a.y = 0.0 if y >= h else y
+            index.grid.rebuild(agents)
+            return index.grid.scan([a.x for a in agents], [a.y for a in agents],
+                                   p.collision_radius, index.cut)
+    # the neighbor list (below half stopped) or, at least half stopped, the
+    # cache of the stopped agents' pairs. A caller may edit the world
+    # between ticks, so either holds only while every agent is where the
+    # last pass left it.
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
-    frozen = index.frozen
-    if frozen is None or frozen.xs != xs or frozen.ys != ys:
-        index.grid.rebuild(agents)
-        frozen = index.frozen = StaticCache(index.grid, xs, ys)
+    kept = xs == index.xs and ys == index.ys
+    if cached:
+        index.listed = None
+        if index.frozen is None or not kept:
+            index.grid.rebuild(agents)
+            index.frozen = StaticCache(index.grid, xs, ys)
     # the same move, over the movers only
     moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
     for i in moved:
@@ -559,7 +606,33 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
         y = (ys[i] + sp * sc[1]) % h
         a.x = xs[i] = 0.0 if x >= w else x
         a.y = ys[i] = 0.0 if y >= h else y
-    return frozen.scan(speeds, moved, xs, ys, p.collision_radius, index.cut)
+    index.xs = xs
+    index.ys = ys
+    if cached:
+        return index.frozen.scan(speeds, moved, xs, ys, p.collision_radius,
+                                 index.cut)
+    step = 2.0 * (top + index.ulp)
+    if kept and index.listed is not None and index.slack >= step:
+        index.slack -= step
+    else:
+        # the pairs closer than reach + skin, listed by their lower id
+        index.wide.rebuild(agents)
+        partners: dict[int, list[int]] = {}
+        for i, j in index.wide.scan(xs, ys, index.span, -1.0)[0]:
+            got = partners.get(i)
+            if got is None:
+                partners[i] = [j]
+            else:
+                got.append(j)
+        index.listed = list(partners.items())
+        # less a share for the rounding of the distances themselves
+        index.slack = index.skin * (1.0 - 1e-9)
+    n = len(agents)
+    pairs: set[tuple[int, int]] = set()
+    near = [-1] * n
+    _measure(index.listed, xs, ys, w, h, p.collision_radius, index.cut, pairs,
+             [math.inf] * n, near)
+    return pairs, near
 
 
 def _decide(agents: list[AgentState], speeds: list[float], near: list[int],

@@ -342,6 +342,24 @@ class TestBadInput:
         assert err.startswith("error:") and "seed must be >= 0, got -1" in err
         assert list(tmp_path.iterdir()) == []  # no output was opened
 
+    @pytest.mark.parametrize("argv", [
+        RUN_SMOKE + ["--min-velocity", "0.9", "--max-velocity", "0.3",
+                     "--out", "out.csv", "--trace", "t.csv"],
+        ["sweep", "--spec", "band.cfg", "--jobs", "1", "--out", "out.csv"],
+    ], ids=["run", "sweep"])
+    def test_min_velocity_above_max_exits_two(self, capsys, tmp_path, monkeypatch,
+                                              argv):
+        # random walkers keep to [min_velocity, max_velocity]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "band.cfg").write_text(
+            "[config:a]\nn_red = 5\nn_black = 5\nticks = 10\n"
+            "min_velocity = 0.9\nmax_velocity = 0.3\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and (
+            "min_velocity (0.9) must not exceed max_velocity (0.3)" in err)
+        assert [p.name for p in tmp_path.iterdir()] == ["band.cfg"]  # no output
+
     def test_spec_name_with_a_comma_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "mini.cfg"
         cfg.write_text("[experiment]\nname = a,b\n"
@@ -491,6 +509,8 @@ class TestSchema:
             text = "true"
         elif issubclass(kind, Enum):
             text = next(n for n, m in text_names(f, kind).items() if m is not f.default)
+        elif f.name == "min_velocity":  # at most max_velocity, whose default it is
+            text = str(f.default / 2)
         else:
             text = str(f.default + kind(1))
 

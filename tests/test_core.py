@@ -133,6 +133,14 @@ class TestSimParams:
             SimParams(seed=-7)
         assert SimParams(seed=0).seed == 0
 
+    def test_min_velocity_above_max_rejected(self):
+        # random walkers keep to [min_velocity, max_velocity]: an empty band
+        # has no meaning
+        with pytest.raises(ValueError, match=r"min_velocity \(0\.9\) must not "
+                                             r"exceed max_velocity \(0\.3\)"):
+            SimParams(min_velocity=0.9, max_velocity=0.3)
+        assert SimParams(min_velocity=0.6, max_velocity=0.6).min_velocity == 0.6
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n_red=-1)

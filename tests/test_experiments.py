@@ -399,10 +399,10 @@ scenario = social
         path = tmp_path / "warn.cfg"
         path.write_text("[config:x]\nn_red = 5\nscenario = social\n")
         load_spec(str(path))  # defaults max_velocity 0.3, min_safety_distance 1.0
-        path.write_text("[config:x]\nmax_velocity = 0.2\nscenario = social\n")
+        path.write_text("[config:x]\nmax_velocity = 0.4\nscenario = social\n")
         load_spec(str(path))
         assert [str(w.message) for w in recwarn if w.category is ParamRangeWarning] == [
-            "max_velocity=0.2 outside the slider range [0.6, 1.0]"]
+            "max_velocity=0.4 outside the slider range [0.6, 1.0]"]
 
     @pytest.mark.parametrize("section, line, message", [
         ("config:x", "ticks = 1.5", "ticks must be int, got '1.5'"),

@@ -16,6 +16,12 @@ and an O(n^2) reference after every tick, on dense worlds that freeze and
 thaw for 1000 ticks, and check that edits a caller makes between ticks
 reach the result.
 
+Below half stopped, a slow, sparse flock's tick measures a neighbor list
+that it rebuilds only when the flock could have closed its skin. The oracle
+test has a slow case that takes it; the tests after the cache's audit check
+every listed tick against a fresh scan, on worlds that reach each corner of
+the list's bound, and the oracle across caller edits on a listed tick.
+
 The random-walk tick collects the positions it scans in its move loop; its
 grid and pairs are audited against a fresh SpatialGrid after every tick,
 across caller edits.
@@ -30,6 +36,7 @@ import random
 
 import pytest
 
+from avflock import engine
 from avflock.agents import ActionKind, random_walk_step, social_step
 from avflock.core import (AgentState, CollisionRule, Scenario, SimParams,
                           Team, WorldState, displace, torus_distance_xy)
@@ -73,7 +80,7 @@ def oracle_tick(world: WorldState) -> None:
 
 
 CASES = ("plain", "tiny_grid", "safety_beyond_sonar", "sonar_zero",
-         "identical_positions", "equal_distance_ties")
+         "identical_positions", "equal_distance_ties", "slow_flock")
 
 
 def _geometry(rng: random.Random, case: str) -> dict:
@@ -92,6 +99,14 @@ def _geometry(rng: random.Random, case: str) -> dict:
                     sonar_range=rng.choice((0.5, 1.0, 2.5)),
                     min_safety_distance=rng.choice((0.5, 1.0, 1.5)),
                     collision_radius=rng.choice((0.5, 1.0)))
+    if case == "slow_flock":
+        # within the neighbor list's density bound: reach at most 1 and
+        # at most 30 agents (the params' 15 + 15) in at least 22 x 22 m
+        sonar = rng.uniform(0.5, 1.0)
+        return dict(world_width=rng.uniform(22.0, 40.0),
+                    world_height=rng.uniform(22.0, 40.0), sonar_range=sonar,
+                    min_safety_distance=rng.uniform(0.3, sonar),
+                    collision_radius=rng.uniform(0.4, 1.0))
     w, h = rng.uniform(8.0, 40.0), rng.uniform(8.0, 40.0)
     sonar = rng.uniform(0.5, min(4.0, min(w, h) / 2.01))
     safety = rng.uniform(0.3, sonar)
@@ -115,7 +130,8 @@ def _agents(rng: random.Random, case: str, params: SimParams) -> list[AgentState
             heading = rng.choice((0.0, 90.0, 180.0, 270.0))
         else:
             x, y = rng.uniform(0.0, w), rng.uniform(0.0, h)
-            speed = rng.choice((0.0, rng.uniform(0.0, 1.0)))
+            top = params.max_velocity if case == "slow_flock" else 1.0
+            speed = rng.choice((0.0, rng.uniform(0.0, top)))
             heading = rng.choice((float(rng.randrange(360)), rng.uniform(-720, 720)))
         if case == "identical_positions" and i and rng.random() < 0.5:
             src = agents[rng.randrange(i)]
@@ -133,9 +149,16 @@ def _agents(rng: random.Random, case: str, params: SimParams) -> list[AgentState
 def _world_pair(seed: int, case: str, scenario: Scenario, rule: CollisionRule,
                 literal: bool) -> tuple[WorldState, WorldState]:
     rng = random.Random(seed)
+    if case == "slow_flock":
+        # within the neighbor list's speed bound: reach / 2 >= 0.2
+        top = rng.uniform(0.05, 0.2)
+        speeds = dict(n_red=15, n_black=15, min_velocity=rng.uniform(0.0, top),
+                      max_velocity=top)
+    else:
+        speeds = dict(min_velocity=rng.uniform(0.0, 0.5),
+                      max_velocity=rng.uniform(0.5, 1.0))
     params = SimParams(
-        scenario=scenario, collision_rule=rule, literal_rules=literal,
-        min_velocity=rng.uniform(0.0, 0.5), max_velocity=rng.uniform(0.5, 1.0),
+        scenario=scenario, collision_rule=rule, literal_rules=literal, **speeds,
         max_acceleration=rng.uniform(0.0, 0.3), deceleration=rng.uniform(0.0, 0.5),
         **_geometry(rng, case))
     agents = _agents(rng, case, params)
@@ -153,6 +176,7 @@ def _state(world: WorldState):
 @pytest.mark.parametrize("case", CASES)
 def test_fused_tick_equals_oracle_after_every_tick(case):
     combos = itertools.product(Scenario, CollisionRule, (False, True))
+    listed = collections.Counter()
     for k, (scenario, rule, literal) in enumerate(combos):
         fused, ref = _world_pair(1000 * CASES.index(case) + k, case, scenario,
                                  rule, literal)
@@ -162,6 +186,11 @@ def test_fused_tick_equals_oracle_after_every_tick(case):
             assert _state(fused) == _state(ref), (case, scenario, rule, literal, t)
             if scenario is Scenario.RANDOM_WALK:
                 _audit_random_grid(fused)
+            listed[k] += fused.index.listed is not None
+    if case == "slow_flock":
+        # the social worlds tick on the neighbor list; one starts with more
+        # than half its agents stopped, on the cache
+        assert sum(map(bool, listed.values())) >= 5, listed
 
 
 def test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis():
@@ -497,3 +526,234 @@ def test_replaced_params_take_effect(field, before, after):
            if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
     assert fused.index.cut == cut
     assert fused.index.grid.cell_size == max(cut, p.collision_radius)
+
+
+# The neighbor list. On social ticks below half stopped, while the flock is
+# slow and sparse, `tick` measures a list of the pairs that were closer than
+# reach + skin when it was built, and rebuilds the list only when the flock
+# could have closed the skin. The audit below checks every listed tick
+# against a fresh SpatialGrid.scan of the same positions and records how
+# each social tick was served, so each test can show the case it reached.
+
+class _ListAudit:
+    def __init__(self, monkeypatch, ties: bool = False):
+        self.seen = collections.Counter()
+        self.modes: list[str] = []
+        self.ties = ties
+        original = engine._social_pass
+
+        def social_pass(agents, speeds, index, p):
+            before, slack = index.listed, index.slack
+            kept = ([a.x for a in agents] == index.xs
+                    and [a.y for a in agents] == index.ys)
+            got = original(agents, speeds, index, p)
+            if index.listed is None:
+                fast = (index.wide is not None and 2 * speeds.count(0.0) < len(speeds)
+                        and 4.0 * max(map(abs, speeds)) > index.skin)
+                self.modes.append("cache" if index.frozen is not None
+                                  else "fast" if fast else "grid")
+                return got
+            xs = [a.x for a in agents]
+            ys = [a.y for a in agents]
+            ref = SpatialGrid(p.world_width, p.world_height, index.grid.cell_size)
+            ref.rebuild(agents)
+            assert got == ref.scan(xs, ys, p.collision_radius, index.cut)
+            if index.listed is before:
+                self.seen["served"] += 1
+                self.modes.append("served")
+            else:
+                if before is not None and kept:
+                    assert slack < 2.0 * (max(map(abs, speeds)) + index.ulp)
+                    self.seen["slack_rebuild"] += 1
+                self.seen["built"] += 1
+                self.modes.append("built")
+            if self.ties:
+                self._ties(xs, ys, p, index, before is not index.listed)
+            return got
+
+        monkeypatch.setattr(engine, "_social_pass", social_pass)
+
+    def _ties(self, xs, ys, p, index, built):
+        for i, j in itertools.combinations(range(len(xs)), 2):
+            d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], p.world_width,
+                                  p.world_height)
+            self.seen["at_radius"] += d == p.collision_radius
+            self.seen["at_cut"] += d == index.cut
+            self.seen["at_span"] += built and d == index.span
+
+    def runs(self) -> collections.Counter:
+        """The longest run of ticks one list served after it was built,
+        under "longest", and the count of each (mode, next mode) change."""
+        flips = collections.Counter(zip(self.modes, self.modes[1:]))
+        longest = run = 0
+        for mode in self.modes:
+            run = run + 1 if mode == "served" else 0
+            longest = max(longest, run)
+        flips["longest"] = longest
+        return flips
+
+
+def _list_audit(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
+    audit = _ListAudit(monkeypatch, ties)
+    for world in worlds:
+        for _ in range(ticks):
+            tick(world)
+        audit.modes.append("end")
+    return audit.seen, audit.runs()
+
+
+def _slow_flock(seed: int, **changes) -> WorldState:
+    # sparse enough for the list's density bound (0.63) and, at 0.5 m a
+    # tick, slow enough for its speed bound (4 x 0.5 <= skin 2)
+    params = dict(n_red=20, n_black=20, world_width=30.0, world_height=30.0,
+                  min_velocity=0.3, max_velocity=0.5, deceleration=0.1,
+                  max_acceleration=0.3)
+    params.update(changes)
+    return setup(SimParams(**params), seed)
+
+
+def test_list_serves_several_ticks_and_rebuilds_on_slack(monkeypatch):
+    seen, runs = _list_audit(monkeypatch, [_slow_flock(seed) for seed in range(2)])
+    assert runs["longest"] >= 2  # (a) one list, three ticks
+    assert seen["slack_rebuild"] > 0  # (b)
+
+
+def test_list_speed_gate_turns_off_and_on(monkeypatch):
+    # recovery takes agents past reach / 2 = 0.5, and mirroring a
+    # neighbor slows them again
+    world = _slow_flock(0, n_red=12, n_black=12, world_width=24.0,
+                        world_height=24.0, max_velocity=0.6, max_acceleration=0.1)
+    seen, runs = _list_audit(monkeypatch, [world])
+    assert runs["served", "fast"] + runs["built", "fast"] >= 2  # (c)
+    assert runs["fast", "built"] >= 2
+
+
+def test_list_hands_over_to_the_cache_and_back(monkeypatch):
+    seen, runs = _list_audit(monkeypatch, [_slow_flock(1)])
+    assert runs["served", "cache"] + runs["built", "cache"] > 0  # (d)
+    assert runs["cache", "built"] > 0
+
+
+def _list_lattice_world(seed: int) -> WorldState:
+    # a 0.5 m lattice, axis headings and speeds 0 or 0.5: pair distances
+    # fall exactly on the radius (0.5), the cut (1) and reach + skin (3)
+    rng = random.Random(seed)
+    params = SimParams(n_red=6, n_black=6, world_width=16.0, world_height=12.0,
+                       min_velocity=0.0, max_velocity=0.5, max_acceleration=0.5,
+                       deceleration=0.5, sonar_range=1.0, min_safety_distance=1.5,
+                       collision_radius=0.5)
+    agents = [AgentState(id=i, team=Team.RED if i < 6 else Team.BLACK,
+                         x=rng.randrange(32) * 0.5, y=rng.randrange(24) * 0.5,
+                         heading=rng.choice((0.0, 90.0, 180.0, 270.0)),
+                         speed=rng.choice((0.0, 0.5, 0.5)))
+              for i in range(12)]
+    return WorldState(agents=agents, params=params, rng=random.Random(seed))
+
+
+def test_list_exact_ties(monkeypatch):
+    worlds = [_list_lattice_world(seed) for seed in range(4)]
+    seen, _ = _list_audit(monkeypatch, worlds, ties=True)
+    assert seen["at_radius"] > 0 and seen["at_cut"] > 0 and seen["at_span"] > 0  # (e)
+
+
+def _lanes_world(x0: float, speed: float, radius: float,
+                 width: float) -> WorldState:
+    """Ten lanes, each with a pair that closes head-on at 2 * speed a tick
+    and, after the first tick's move, starts at reach + skin = 3 * radius
+    plus k / 10 radii: the first list leaves every pair out. Sonar 0 keeps
+    each agent on its heading."""
+    params = SimParams(n_red=10, n_black=10, world_width=width,
+                       world_height=width, min_velocity=speed, max_velocity=speed,
+                       max_acceleration=0.0, deceleration=0.0, sonar_range=0.0,
+                       collision_radius=radius)
+    agents = []
+    for k in range(10):
+        y = x0 + 4 * k * radius
+        gap = 3 * radius + 2 * speed + k * radius / 10
+        agents.append(AgentState(id=2 * k, team=Team.RED, x=x0, y=y,
+                                 heading=90.0, speed=speed))
+        agents.append(AgentState(id=2 * k + 1, team=Team.BLACK, x=x0 + gap, y=y,
+                                 heading=270.0, speed=speed))
+    return WorldState(agents=agents, params=params, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("x0, speed, radius, width, ticks", [
+    # at the speed bound, a pair closes the whole skin in two ticks
+    (10.0, 0.5, 1.0, 50.0, 20),
+    # a crawling flock: near 1.2e7 a coordinate's ulp is 1.86e-9, so each
+    # 1e-9 m move rounds to a 1.86e-9 m one, and only the rounding
+    # allowance keeps the list exact over the 5400 to 7800 ticks the
+    # pairs take to meet
+    (1.2e7, 1e-9, 1e-5, 2.0 ** 24, 8000),
+], ids=["speed_bound", "crawl"])
+def test_list_head_on_lanes(monkeypatch, x0, speed, radius, width, ticks):
+    world = _lanes_world(x0, speed, radius, width)
+    seen, _ = _list_audit(monkeypatch, [world], ticks)
+    assert seen["built"] + seen["served"] == ticks
+    assert seen["slack_rebuild"] > 0  # (f)
+    assert world.total_collisions == 10  # every lane's pair met once
+
+
+def _list_edit(world: WorldState, edit: str) -> None:
+    agents = world.agents
+    far = max(agents, key=lambda a: torus_distance_xy(
+        a.x, a.y, agents[0].x, agents[0].y, 30.0, 30.0))
+    if edit == "move":
+        # onto an agent across the world, away from its listed pairs
+        agents[0].x, agents[0].y = far.x, far.y
+    elif edit == "speed":
+        agents[0].speed = 1.5  # past the speed bound, reach / 2
+    else:
+        i, j = 0, far.id
+        copies = [dataclasses.replace(a) for a in agents]
+        copies[i].x, copies[i].y, copies[j].x, copies[j].y = (
+            agents[j].x, agents[j].y, agents[i].x, agents[i].y)
+        world.agents = copies
+
+
+@pytest.mark.parametrize("edit", ["move", "speed", "replace_agents"])
+def test_list_follows_caller_edits(edit):
+    # the edit falls right after a tick that built a list, which would
+    # otherwise serve the next tick
+    fused, ref = _slow_flock(0), _slow_flock(0)
+    listed = None
+    for t in range(40):
+        tick(fused)
+        oracle_tick(ref)
+        if t >= 20 and fused.index.listed is not None and (
+                fused.index.listed is not listed):
+            break
+        listed = fused.index.listed
+    listed = fused.index.listed
+    assert listed is not None and fused.index.slack == fused.index.skin * (1 - 1e-9)
+    _list_edit(fused, edit)
+    _list_edit(ref, edit)
+    for t in range(20):
+        tick(fused)
+        oracle_tick(ref)
+        assert _state(fused) == _state(ref), (edit, t)
+    assert fused.index.listed is not listed
+
+
+def test_list_bounds_a_negative_speed_by_its_size():
+    # a negative speed moves an agent back. Here the others move 0.25 m a
+    # tick, so a step bound on max(speeds) would let the list serve three
+    # ticks in which the -0.45 m agent and the one it meets head-on close
+    # 2.1 m, more than the 2 m skin
+    params = SimParams(n_red=2, n_black=2, world_width=30.0, world_height=30.0,
+                       min_velocity=0.25, max_velocity=0.25, deceleration=0.1,
+                       max_acceleration=0.1)
+    spots = [(10.0, 10.0, 270.0), (13.05, 10.0, 270.0), (25.0, 25.0, 0.0),
+             (5.0, 25.0, 180.0)]
+    fused, ref = (WorldState(agents=[
+        AgentState(id=i, team=Team.RED if i < 2 else Team.BLACK, x=x, y=y,
+                   heading=hd, speed=0.25) for i, (x, y, hd) in enumerate(spots)],
+        params=params, rng=random.Random(0)) for _ in range(2))
+    for t in range(8):
+        if t == 1:  # after the first list is built, 3.05 m apart
+            assert fused.index.listed == []
+            fused.agents[0].speed = ref.agents[0].speed = -0.45
+        tick(fused)
+        oracle_tick(ref)
+        assert _state(fused) == _state(ref), t
+    assert fused.total_collisions == 1
