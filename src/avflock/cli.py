@@ -95,13 +95,26 @@ def _open_out(path: str):
 
 def cmd_run(args) -> int:
     params = _params_from(args)
+    paths = [_out_path(path) for path in (args.trace, args.out) if path]
     # two handles on one file would each truncate it, and the last to
     # flush would silently win
-    if (args.out and args.trace and os.path.realpath(_out_path(args.out))
-            == os.path.realpath(_out_path(args.trace))):
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
         raise ValueError(f"--out and --trace name the same file: {args.out}")
+    # probe every output before truncating any: a bad path fails before the
+    # simulation, "a" keeps an existing file, and only a file the probe
+    # created is removed
+    created = []
+    try:
+        for path in paths:
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
     with contextlib.ExitStack() as stack:
-        # open the outputs first: a bad path fails before the simulation
         trace_fh = stack.enter_context(_open_out(args.trace)) if args.trace else None
         out_fh = stack.enter_context(_open_out(args.out)) if args.out else None
         result = run(params, params.seed, trace=trace_fh)

@@ -32,10 +32,10 @@ saves, and the cache is dropped.
 Below half stopped, a slow, sparse flock's neighborhoods barely change from
 one tick to the next. There the tick keeps a Verlet list of the pairs that
 were within reach + skin when it was built and measures only those; it is
-rebuilt once the flock could have closed the skin (see _Index). Otherwise,
-when the flock is too fast or too dense for the list to pay, the tick
-rebuilds and scans. The list and the cache hold only while every agent is
-where the last social pass left it.
+rebuilt once the flock could have closed the skin. A flock too fast or too
+dense for the list takes the grid pass. _Index.source alone picks the cache,
+the list or the grid pass per tick; the list and the cache hold only while
+every agent is where the last social pass left it.
 
 The random walk scans every tick; its speed floor is min_velocity, so with
 a positive floor nothing in it stops. Its tick draws and makes both moves
@@ -490,27 +490,27 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
-    heading, the social tick's StaticCache (None below half stopped) and its
-    neighbor list (None when the tick does not use it), and the positions
-    the last social pass left, which the cache and the list hold for.
+    heading, the social tick's StaticCache and neighbor list (each None while
+    `source` picks another pair source), and the positions the last social
+    pass left, which the cache and the list hold for.
 
-    The neighbor list (a Verlet list) serves social ticks below half
-    stopped. With reach = max(cut, collision_radius), skin = 2 * reach and
+    The neighbor list (a Verlet list) serves social ticks below half stopped.
+    With reach = max(cut, collision_radius), skin = 2 * reach and
     span = reach + skin, `listed` holds the (i, partners) lists of the pairs
     closer than `span` when it was built, from a second grid (`wide`) with
     cell `span`. A tick moves each agent by its speed, so no pair closes by
-    more than twice the largest one, plus a per-move rounding allowance
-    (`ulp`); `slack` is what the list can still absorb. A pair missing from
-    the list was at least `span` apart and has closed by less than `skin`,
-    so it is still beyond `reach`, and `_measure` over the list yields what
-    SpatialGrid.scan yields. The list is used only while it lasts at least
-    two ticks (4 * speed <= skin) and, from the spawn density, would hold
-    at most about one pair per agent (`wide` is None otherwise): past
-    either bound it costs more than the grid pass it replaces.
+    more than twice the largest one (`top`), plus a per-move rounding
+    allowance (`ulp`); `slack` is what the list can still absorb. A pair
+    missing from the list was at least `span` apart and has closed by less
+    than `skin`, so it is still beyond `reach`, and `_measure` over the list
+    yields what SpatialGrid.scan yields. The list is used only while it
+    lasts at least two ticks (4 * speed <= skin) and the world's n agents,
+    spread evenly, would list at most about one pair each (n <= `cap` =
+    2wh / (pi span^2)): past either bound it costs more than the grid pass.
     """
 
     __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
-                 "wide", "span", "skin", "ulp", "listed", "slack")
+                 "wide", "cap", "skin", "ulp", "top", "listed", "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -524,13 +524,25 @@ class _Index:
         self.xs: list[float] | None = None
         self.ys: list[float] | None = None
         self.skin = 2.0 * reach
-        self.span = reach + self.skin
-        density = (p.n_red + p.n_black) / (w * h)
-        self.wide = (SpatialGrid(w, h, self.span) if social
-                     and density * math.pi * self.span ** 2 / 2.0 <= 1.0 else None)
+        self.wide = SpatialGrid(w, h, reach + self.skin)
+        self.cap = 2.0 * w * h / (math.pi * self.wide.cell_size ** 2)
         self.ulp = 4.0 * math.ulp(max(w, h))
         self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
+
+    def source(self, speeds: list[float]) -> str:
+        """The pair source of a social tick whose agents have `speeds`:
+        "cache" at least half stopped, else "list" while the flock is slow
+        and sparse enough, else "grid". Drops the state of the others."""
+        if 2 * speeds.count(0.0) >= len(speeds):
+            self.listed = None
+            return "cache"
+        self.frozen = None
+        top = self.top = max(max(speeds), -min(speeds))  # a negative speed moves back
+        if 4.0 * top <= self.skin and len(speeds) <= self.cap:
+            return "list"
+        self.listed = None
+        return "grid"
 
 
 def _sincos(trig: dict, heading: float) -> tuple[float, float]:
@@ -566,36 +578,29 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
     agent's nearest neighbor within the cut, as SpatialGrid.scan does."""
     w, h = p.world_width, p.world_height
     trig = index.trig
-    cached = 2 * speeds.count(0.0) >= len(agents)
-    if not cached:
-        index.frozen = None
-        top = max(max(speeds), -min(speeds))  # a negative speed moves back
-        if index.wide is None or 4.0 * top > index.skin:
-            index.listed = None
-            # move; equal to displace(x, y, heading, speed, w, h)
-            for a in agents:
-                sp = a.speed
-                if sp != 0.0:
-                    sc = trig.get(a.heading) or _sincos(trig, a.heading)
-                    x = (a.x + sp * sc[0]) % w
-                    y = (a.y + sp * sc[1]) % h
-                    a.x = 0.0 if x >= w else x
-                    a.y = 0.0 if y >= h else y
-            index.grid.rebuild(agents)
-            return index.grid.scan([a.x for a in agents], [a.y for a in agents],
-                                   p.collision_radius, index.cut)
-    # the neighbor list (below half stopped) or, at least half stopped, the
-    # cache of the stopped agents' pairs. A caller may edit the world
-    # between ticks, so either holds only while every agent is where the
-    # last pass left it.
+    source = index.source(speeds)
+    if source == "grid":
+        # move; equal to displace(x, y, heading, speed, w, h)
+        for a in agents:
+            sp = a.speed
+            if sp != 0.0:
+                sc = trig.get(a.heading) or _sincos(trig, a.heading)
+                x = (a.x + sp * sc[0]) % w
+                y = (a.y + sp * sc[1]) % h
+                a.x = 0.0 if x >= w else x
+                a.y = 0.0 if y >= h else y
+        index.grid.rebuild(agents)
+        return index.grid.scan([a.x for a in agents], [a.y for a in agents],
+                               p.collision_radius, index.cut)
+    # the cache of the stopped agents' pairs or the neighbor list. A caller
+    # may edit the world between ticks, so either holds only while every
+    # agent is where the last pass left it.
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
     kept = xs == index.xs and ys == index.ys
-    if cached:
-        index.listed = None
-        if index.frozen is None or not kept:
-            index.grid.rebuild(agents)
-            index.frozen = StaticCache(index.grid, xs, ys)
+    if source == "cache" and (index.frozen is None or not kept):
+        index.grid.rebuild(agents)
+        index.frozen = StaticCache(index.grid, xs, ys)
     # the same move, over the movers only
     moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
     for i in moved:
@@ -608,17 +613,17 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
         a.y = ys[i] = 0.0 if y >= h else y
     index.xs = xs
     index.ys = ys
-    if cached:
+    if source == "cache":
         return index.frozen.scan(speeds, moved, xs, ys, p.collision_radius,
                                  index.cut)
-    step = 2.0 * (top + index.ulp)
+    step = 2.0 * (index.top + index.ulp)
     if kept and index.listed is not None and index.slack >= step:
         index.slack -= step
     else:
         # the pairs closer than reach + skin, listed by their lower id
         index.wide.rebuild(agents)
         partners: dict[int, list[int]] = {}
-        for i, j in index.wide.scan(xs, ys, index.span, -1.0)[0]:
+        for i, j in index.wide.scan(xs, ys, index.wide.cell_size, -1.0)[0]:
             got = partners.get(i)
             if got is None:
                 partners[i] = [j]

@@ -264,6 +264,18 @@ class TestBadInput:
         assert main(RUN_SMOKE + [flag, str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("good, bad", [("--trace", "--out"), ("--out", "--trace")])
+    def test_unwritable_output_leaves_the_other_as_it_was(self, capsys, tmp_path,
+                                                         good, bad):
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"the previous run's output\n")
+        missing = str(tmp_path / "missing" / "x.csv")
+        for path in (old, tmp_path / "new.csv"):
+            assert main(RUN_SMOKE + [good, str(path), bad, missing]) == 2
+            assert missing in capsys.readouterr().err
+        assert old.read_bytes() == b"the previous run's output\n"
+        assert list(tmp_path.iterdir()) == [old]  # no new file left behind
+
     def test_sweep_unwritable_output_fails_before_sweeping(self, capsys, monkeypatch,
                                                            tmp_path):
         def no_sweep(*args, **kwargs):

@@ -6,21 +6,19 @@ force find_nearmates) or random_walk_step, displace, and an O(n^2)
 detect_collisions. The fused engine must leave the world in exactly the
 same state after every tick, on random worlds that include the corner
 cases of the pass: grids with fewer than 3 cells per axis, a safety
-distance beyond the sonar range, sonar 0, agents at identical positions and
-exact equal-distance ties.
+distance beyond the sonar range, sonar 0, agents at identical positions,
+exact equal-distance ties, and a slow, sparse flock.
 
-On social ticks that start with at least half the flock stopped, the tick
-takes the stopped agents' pairs from StaticCache and measures only the
-movers'. The tests at the end audit that pass against a full rebuild + scan
-and an O(n^2) reference after every tick, on dense worlds that freeze and
-thaw for 1000 ticks, and check that edits a caller makes between ticks
-reach the result.
-
-Below half stopped, a slow, sparse flock's tick measures a neighbor list
-that it rebuilds only when the flock could have closed its skin. The oracle
-test has a slow case that takes it; the tests after the cache's audit check
-every listed tick against a fresh scan, on worlds that reach each corner of
-the list's bound, and the oracle across caller edits on a listed tick.
+A social tick takes its pairs from one of three sources, which
+_Index.source picks: the grid pass, StaticCache (at least half the flock
+stopped) or the neighbor list (a slow, sparse flock). One audit wraps
+_social_pass: after every social tick it checks the pairs and nearest ids
+against a fresh scan and an O(n^2) reference, whatever served them, and
+records the source. The gate's bounds are tested on the gate itself. The
+tests after them run the audit on worlds that reach each corner of the
+cache (dense worlds that freeze and thaw for 1000 ticks) and of the list
+(slack rebuilds, the speed bound turning off and on, hand-overs, exact
+ties, head-on lanes), and on caller edits between ticks.
 
 The random-walk tick collects the positions it scans in its move loop; its
 grid and pairs are audited against a fresh SpatialGrid after every tick,
@@ -40,8 +38,7 @@ from avflock import engine
 from avflock.agents import ActionKind, random_walk_step, social_step
 from avflock.core import (AgentState, CollisionRule, Scenario, SimParams,
                           Team, WorldState, displace, torus_distance_xy)
-from avflock.engine import (SpatialGrid, StaticCache, detect_collisions, setup,
-                            tick)
+from avflock.engine import SpatialGrid, detect_collisions, setup, tick
 
 
 def oracle_tick(world: WorldState) -> None:
@@ -101,7 +98,7 @@ def _geometry(rng: random.Random, case: str) -> dict:
                     collision_radius=rng.choice((0.5, 1.0)))
     if case == "slow_flock":
         # within the neighbor list's density bound: reach at most 1 and
-        # at most 30 agents (the params' 15 + 15) in at least 22 x 22 m
+        # at most 30 agents in at least 22 x 22 m
         sonar = rng.uniform(0.5, 1.0)
         return dict(world_width=rng.uniform(22.0, 40.0),
                     world_height=rng.uniform(22.0, 40.0), sonar_range=sonar,
@@ -152,8 +149,7 @@ def _world_pair(seed: int, case: str, scenario: Scenario, rule: CollisionRule,
     if case == "slow_flock":
         # within the neighbor list's speed bound: reach / 2 >= 0.2
         top = rng.uniform(0.05, 0.2)
-        speeds = dict(n_red=15, n_black=15, min_velocity=rng.uniform(0.0, top),
-                      max_velocity=top)
+        speeds = dict(min_velocity=rng.uniform(0.0, top), max_velocity=top)
     else:
         speeds = dict(min_velocity=rng.uniform(0.0, 0.5),
                       max_velocity=rng.uniform(0.5, 1.0))
@@ -174,23 +170,25 @@ def _state(world: WorldState):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_fused_tick_equals_oracle_after_every_tick(case):
+def test_fused_tick_equals_oracle_after_every_tick(monkeypatch, case):
+    audit = _Audit(monkeypatch)
     combos = itertools.product(Scenario, CollisionRule, (False, True))
-    listed = collections.Counter()
+    listed = 0
     for k, (scenario, rule, literal) in enumerate(combos):
         fused, ref = _world_pair(1000 * CASES.index(case) + k, case, scenario,
                                  rule, literal)
+        before = audit.seen["list"]
         for t in range(40):
             tick(fused)
             oracle_tick(ref)
             assert _state(fused) == _state(ref), (case, scenario, rule, literal, t)
             if scenario is Scenario.RANDOM_WALK:
                 _audit_random_grid(fused)
-            listed[k] += fused.index.listed is not None
+        listed += audit.seen["list"] > before
     if case == "slow_flock":
         # the social worlds tick on the neighbor list; one starts with more
         # than half its agents stopped, on the cache
-        assert sum(map(bool, listed.values())) >= 5, listed
+        assert listed >= 5, audit.seen
 
 
 def test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis():
@@ -240,7 +238,11 @@ def _brute_force(xs, ys, w, h, radius, cut):
     least (distance, id), or -1."""
     pairs = set()
     nearest = [(math.inf, -1)] * len(xs)
+    reach = max(radius, cut)
     for i, j in itertools.combinations(range(len(xs)), 2):
+        dx = abs(xs[i] - xs[j])
+        if dx > reach and w - dx > reach:
+            continue  # the distance is at least the wrapped x distance
         d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], w, h)
         if d < radius:
             pairs.add((i, j))
@@ -257,52 +259,74 @@ def test_scan_rejects_reach_beyond_cell():
     assert grid.scan([], [], 1.0, math.nextafter(1.0, 0.0)) == (set(), [])
 
 
-# The stopped-agent cache. On social ticks where at least half the flock is
-# stopped, `tick` scans only the pairs with a mover in them and takes the
-# rest from StaticCache. The audit below checks every such pass against a
-# full rebuild + scan of the same positions and counts the corner cases
-# the pass met, so each test can show that it reached them.
+# One audit for every social pair source. It wraps _social_pass, checks
+# each tick against a fresh fine-grid scan and _brute_force, records the
+# source _Index.source picked, and counts the corner cases the ticks met,
+# so each test can show that it reached them. A later source is audited by
+# the same code.
 
 class _Audit:
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, ties: bool = False):
+        # per source, the ticks it served; per corner, the times it was met
         self.seen = collections.Counter()
-        original = StaticCache.scan
+        self.sources: list[str] = []  # per social tick, "end" between worlds
+        self.ties = ties
+        gate, social_pass = engine._Index.source, engine._social_pass
 
-        def scan(cache, speeds, moved, xs, ys, radius, cut):
-            self._before(cache, moved, xs, ys)
-            got = original(cache, speeds, moved, xs, ys, radius, cut)
-            g = cache.grid
-            ref = SpatialGrid(g.width, g.height, g.cell_size)
-            ref.rebuild([AgentState(id=i, team=Team.RED, x=x, y=y, heading=0.0,
-                                    speed=0.0) for i, (x, y) in enumerate(zip(xs, ys))])
-            assert got == ref.scan(xs, ys, radius, cut)
-            # the grid's one bucket map follows the movers: each cell holds
-            # the ids a fresh rebuild puts there, in any order
-            assert ({k: sorted(b) for k, b in g.buckets.items()}
-                    == {k: sorted(b) for k, b in ref.buckets.items()})
-            # both passes share _measure: check it against its own oracle too
-            assert got == _brute_force(xs, ys, g.width, g.height, radius, cut)
-            self._after(cache, moved, xs, ys, cut)
+        def source(index, speeds):
+            got = gate(index, speeds)
+            self.sources.append(got)
+            self.seen[got] += 1
             return got
 
-        monkeypatch.setattr(StaticCache, "scan", scan)
+        def audited(agents, speeds, index, p):
+            cache, listed, slack = index.frozen, index.listed, index.slack
+            kept = ([a.x for a in agents] == index.xs
+                    and [a.y for a in agents] == index.ys)
+            # StaticCache.scan edits the cache in place
+            before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
+                                cache.cells[:])
+            got = social_pass(agents, speeds, index, p)
+            xs = [a.x for a in agents]
+            ys = [a.y for a in agents]
+            w, h = p.world_width, p.world_height
+            ref = SpatialGrid(w, h, index.grid.cell_size)
+            ref.rebuild(agents)
+            assert got == ref.scan(xs, ys, p.collision_radius, index.cut)
+            # every source and the reference scan share _measure: check it
+            # against its own oracle too
+            assert got == _brute_force(xs, ys, w, h, p.collision_radius, index.cut)
+            if self.sources[-1] == "list":
+                self._list(index, listed, kept, slack, speeds, xs, ys, p)
+                return got
+            # the grid's one bucket map follows the movers: each cell holds
+            # the ids a fresh rebuild puts there, in any order
+            assert ({k: sorted(b) for k, b in index.grid.buckets.items()}
+                    == {k: sorted(b) for k, b in ref.buckets.items()})
+            if self.sources[-1] == "cache":
+                if index.frozen is not cache:  # a new cache: none static yet
+                    before = ([False] * len(xs), [-1] * len(xs), set(), None)
+                self._cache(index.frozen, before, speeds, xs, ys, index.cut)
+            return got
 
-    def _before(self, cache, moved, xs, ys):
-        self.seen["passes"] += 1
-        self.seen["static_on_static"] += sum(
-            xs[i] == xs[j] and ys[i] == ys[j] for i, j in cache.pairs)
-        static, near = cache.static, cache.near
+        monkeypatch.setattr(engine._Index, "source", source)
+        monkeypatch.setattr(engine, "_social_pass", audited)
+
+    def _cache(self, cache, before, speeds, xs, ys, cut):
+        seen = self.seen
+        static, near, pairs, cells = before
+        moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
+        seen["static_on_static"] += sum(xs[i] == xs[j] and ys[i] == ys[j]
+                                        for i, j in pairs)
         for i in moved:
             if static[i]:
-                self.seen["thaw"] += 1
-                if (any(static[j] and near[j] == i for j in range(len(near)))
-                        and cache.grid.key(xs[i], ys[i]) != cache.cells[i]):
-                    # (a) a cached nearest thaws and leaves its cell
-                    self.seen["nearest_thaws_across_cells"] += 1
-        self.seen["freeze"] += (len(xs) - len(moved)) - (
-            cache.n_static - sum(static[i] for i in moved))
-
-    def _after(self, cache, moved, xs, ys, cut):
+                seen["thaw"] += 1
+                # (a) a cached nearest thaws and leaves its cell
+                seen["nearest_thaws_across_cells"] += (
+                    any(static[j] and near[j] == i for j in range(len(near)))
+                    and cache.grid.key(xs[i], ys[i]) != cells[i])
+        seen["freeze"] += (len(xs) - len(moved)) - (
+            sum(static) - sum(static[i] for i in moved))
         g = cache.grid
         for i, stopped in enumerate(cache.static):
             if not stopped:
@@ -311,16 +335,114 @@ class _Audit:
                 d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], g.width, g.height)
                 if d == cache.best[i]:
                     # (c) a mover exactly as far as a static nearest
-                    self.seen["tie_lower_id" if j < cache.near[i]
-                              else "tie_higher_id"] += 1
-                if d == cut:
-                    self.seen["mover_at_cut"] += 1
-                if d == 0.0:
-                    self.seen["mover_on_static"] += 1
-        for i, j in itertools.combinations(moved, 2):
-            if xs[i] == xs[j] and ys[i] == ys[j]:
-                self.seen["mover_on_mover"] += 1
+                    seen["tie_lower_id" if j < cache.near[i]
+                         else "tie_higher_id"] += 1
+                seen["mover_at_cut"] += d == cut
+                seen["mover_on_static"] += d == 0.0
+        seen["mover_on_mover"] += sum(xs[i] == xs[j] and ys[i] == ys[j]
+                                      for i, j in itertools.combinations(moved, 2))
 
+    def _list(self, index, listed, kept, slack, speeds, xs, ys, p):
+        seen = self.seen
+        built = index.listed is not listed
+        seen["built" if built else "served"] += 1
+        if not built:
+            # (a) a list serving a tick it was already charged for
+            seen["served_again"] += slack < index.skin * (1.0 - 1e-9)
+        elif listed is not None and kept:
+            # (b) a list rebuilt only because its slack ran out
+            assert slack < 2.0 * (max(map(abs, speeds)) + index.ulp)
+            seen["slack_rebuild"] += 1
+        if self.ties:
+            for i, j in itertools.combinations(range(len(xs)), 2):
+                d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], p.world_width,
+                                      p.world_height)
+                seen["at_radius"] += d == p.collision_radius
+                seen["at_cut"] += d == index.cut
+                seen["at_span"] += built and d == index.wide.cell_size
+
+
+def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
+    """Tick each world with every social tick audited; returns the audit's
+    counts and the count of each (source, next source) pair of ticks."""
+    audit = _Audit(monkeypatch, ties)
+    for world in worlds:
+        for _ in range(ticks):
+            tick(world)
+        audit.sources.append("end")
+    return audit.seen, collections.Counter(zip(audit.sources, audit.sources[1:]))
+
+
+# The random walk collects the positions it scans in its move loop, not from
+# the agents. After every random tick the grid must hold what a fresh
+# rebuild of the same agents holds, and the tick's pairs must be what a scan
+# of the agents' positions yields.
+
+def _audit_random_grid(world: WorldState) -> None:
+    grid = world.index.grid
+    ref = SpatialGrid(grid.width, grid.height, grid.cell_size)
+    ref.rebuild(world.agents)
+    assert grid.buckets == ref.buckets
+    xs = [a.x for a in world.agents]
+    ys = [a.y for a in world.agents]
+    # the oracle's per-agent neighbor query reads the same buckets
+    assert all(grid.candidates(x, y) == ref.candidates(x, y)
+               for x, y in zip(xs, ys))
+    assert world.active_pairs == ref.scan(xs, ys, world.params.collision_radius,
+                                          -1.0)[0]
+
+
+# The gate. _Index.source serves the cache from exactly half stopped, the
+# list up to exactly 4 * max |speed| == skin and up to `cap` agents of the
+# world it serves, and the grid pass past either bound.
+
+def test_source_takes_each_bound_inclusively():
+    # reach 1, skin 2, span 3: a 9 pi x 32 m world caps the list at 64 agents
+    index = engine._Index(SimParams(world_width=9 * math.pi, world_height=32.0))
+    assert (index.skin, index.cap) == (2.0, 64.0)
+    q = index.skin / 4.0  # the fastest flock a list serves
+    above = math.nextafter(q, math.inf)
+    assert index.source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
+    assert index.source([0.0, q, q, q]) == "list"  # 4 * top == skin
+    assert index.source([above, q, q, q]) == "grid"
+    # a negative speed moves an agent back: it counts by its size
+    assert index.source([-above, q, q, q]) == "grid"
+    assert index.source([-q, q, q, q]) == "list"
+    assert index.source([q] * 64) == "list"
+    assert index.source([q] * 65) == "grid"
+
+
+def test_source_drops_the_state_of_the_others():
+    index = engine._Index(SimParams())
+    held = index.frozen = index.listed = object()
+    assert index.source([0.0, 0.3]) == "cache"
+    assert (index.frozen, index.listed) == (held, None)
+    index.listed = held
+    assert index.source([0.3, 0.3]) == "list"
+    assert (index.frozen, index.listed) == (None, held)
+    index.frozen = held
+    assert index.source([9.0, 0.3]) == "grid"
+    assert (index.frozen, index.listed) == (None, None)
+
+
+@pytest.mark.parametrize("agents, per_team, source", [(20, 40, "list"),
+                                                      (400, 10, "grid")])
+def test_list_density_bound_counts_the_world(monkeypatch, agents, per_team,
+                                             source):
+    # the list caps 30 x 30 m at 63 agents: the world's count decides, not
+    # the params' team sizes, which a caller-built world need not match
+    params = SimParams(n_red=per_team, n_black=per_team, world_width=30.0,
+                       world_height=30.0)
+    world = setup(dataclasses.replace(params, n_red=agents // 2,
+                                      n_black=agents // 2), 0)
+    world.params = params
+    seen, _ = _audited(monkeypatch, [world], ticks=3)
+    assert seen[source] == 3
+
+
+# The stopped-agent cache. On social ticks where at least half the flock is
+# stopped, `tick` measures only the pairs with a mover in them and takes
+# the rest from StaticCache.
 
 def _flock(seed: int, **changes) -> WorldState:
     # a dense 20 m torus whose agents slow and speed up fast enough that
@@ -351,24 +473,10 @@ def _lattice_world(seed: int, stacked: bool = False) -> WorldState:
     return WorldState(agents=agents, params=params, rng=random.Random(seed))
 
 
-def _audit_runs(monkeypatch, worlds, ticks: int = 1000):
-    """Tick each world, auditing every cached pass; returns the corner-case
-    counts and how often the cache went into (False, True) and out of use
-    (True, False) from one tick to the next."""
-    audit = _Audit(monkeypatch)
-    flips = collections.Counter()
-    for world in worlds:
-        cached = []
-        for _ in range(ticks):
-            tick(world)
-            cached.append(world.index.frozen is not None)
-        flips.update(zip(cached, cached[1:]))
-    return audit.seen, flips
-
-
 def test_static_cache_flock_crosses_half_both_ways(monkeypatch):
-    seen, flips = _audit_runs(monkeypatch, [_flock(seed) for seed in range(2)])
-    assert flips[False, True] >= 2 and flips[True, False] >= 2  # (d)
+    # past the list's density bound: every other tick is a grid pass
+    seen, flips = _audited(monkeypatch, [_flock(seed) for seed in range(2)])
+    assert flips["grid", "cache"] >= 2 and flips["cache", "grid"] >= 2  # (d)
     assert seen["nearest_thaws_across_cells"] > 0  # (a)
     assert seen["thaw"] > 0 and seen["freeze"] > 0
 
@@ -381,20 +489,20 @@ def test_static_cache_from_an_all_stopped_start(monkeypatch):
         for a in world.agents[::3]:  # these accelerate away from the start
             a.recovering = True
         worlds.append(world)
-    seen, flips = _audit_runs(monkeypatch, worlds)
-    assert seen["passes"] > 1000 and seen["thaw"] > 0
+    seen, _ = _audited(monkeypatch, worlds)
+    assert seen["cache"] > 1000 and seen["thaw"] > 0
     assert seen["nearest_thaws_across_cells"] > 0
 
 
 def test_static_cache_exact_ties_and_cut(monkeypatch):
-    seen, _ = _audit_runs(monkeypatch, [_lattice_world(seed) for seed in range(4)])
+    seen, _ = _audited(monkeypatch, [_lattice_world(seed) for seed in range(4)])
     assert seen["tie_lower_id"] > 0 and seen["tie_higher_id"] > 0  # (c)
     assert seen["mover_at_cut"] > 0
 
 
 def test_static_cache_identical_positions(monkeypatch):
-    seen, _ = _audit_runs(monkeypatch, [_lattice_world(seed, stacked=True)
-                                        for seed in range(4)])
+    seen, _ = _audited(monkeypatch, [_lattice_world(seed, stacked=True)
+                                     for seed in range(4)])
     assert seen["mover_on_mover"] > 0 and seen["mover_on_static"] > 0  # (e)
     assert seen["static_on_static"] > 0
 
@@ -402,205 +510,15 @@ def test_static_cache_identical_positions(monkeypatch):
 def test_static_cache_tiny_grid(monkeypatch):
     worlds = [_flock(seed, n_red=10, n_black=10, world_width=2.5,
                      world_height=30.0, sonar_range=1.2) for seed in (3, 4)]
-    seen, _ = _audit_runs(monkeypatch, worlds)
+    seen, _ = _audited(monkeypatch, worlds)
     assert all(w.index.grid.nx < 3 for w in worlds)  # (e)
     assert seen["thaw"] > 0 and seen["nearest_thaws_across_cells"] > 0
-
-
-def _edit(world: WorldState, edit: str) -> None:
-    agents = world.agents
-    stopped = [a for a in agents if a.speed == 0.0]
-    far = max(agents, key=lambda a: torus_distance_xy(
-        a.x, a.y, stopped[0].x, stopped[0].y, 20.0, 20.0))
-    if edit == "move_stopped":
-        # onto an agent across the world, away from its cached pairs
-        stopped[0].x, stopped[0].y = far.x, far.y
-    elif edit == "speed":
-        stopped[0].speed = 0.7
-        next(a for a in agents if a.speed != 0.0).speed = 0.0
-    else:
-        i, j = stopped[0].id, far.id
-        copies = [dataclasses.replace(a) for a in agents]
-        copies[i].x, copies[i].y, copies[j].x, copies[j].y = (
-            agents[j].x, agents[j].y, agents[i].x, agents[i].y)
-        world.agents = copies
-
-
-@pytest.mark.parametrize("edit", ["move_stopped", "speed", "replace_agents"])
-def test_static_cache_follows_caller_edits(edit):
-    # tick() is public and WorldState mutable: an edit between ticks must
-    # give what a full scan gives
-    fused, ref = _flock(0), _flock(0)
-    for t in range(150):
-        tick(fused)
-        oracle_tick(ref)
-    assert fused.index.frozen is not None
-    _edit(fused, edit)
-    _edit(ref, edit)
-    for t in range(20):
-        tick(fused)
-        oracle_tick(ref)
-        assert _state(fused) == _state(ref), (edit, t)
-
-
-# The random walk collects the positions it scans in its move loop, not from
-# the agents. After every random tick the grid must hold what a fresh
-# rebuild of the same agents holds, and the tick's pairs must be what a scan
-# of the agents' positions yields.
-
-def _audit_random_grid(world: WorldState) -> None:
-    grid = world.index.grid
-    ref = SpatialGrid(grid.width, grid.height, grid.cell_size)
-    ref.rebuild(world.agents)
-    assert grid.buckets == ref.buckets
-    xs = [a.x for a in world.agents]
-    ys = [a.y for a in world.agents]
-    # the oracle's per-agent neighbor query reads the same buckets
-    assert all(grid.candidates(x, y) == ref.candidates(x, y)
-               for x, y in zip(xs, ys))
-    assert world.active_pairs == ref.scan(xs, ys, world.params.collision_radius,
-                                          -1.0)[0]
-
-
-def _random_edit(world: WorldState, edit: str) -> None:
-    agents = world.agents
-    if edit == "move":
-        # onto another agent, so the pair collides on the next tick
-        agents[3].x, agents[3].y = agents[7].x, agents[7].y
-    elif edit == "speed":
-        agents[5].speed = 0.0  # this agent does not move on the next tick
-    elif edit == "stop_at_edge":
-        # x * (nx / width) rounds up to nx here: the key must clamp it
-        p = world.params
-        w = p.world_width
-        agents[5].speed = 0.0
-        agents[5].x = math.nextafter(w, 0.0)
-        nx = SpatialGrid(w, p.world_height, p.collision_radius).nx
-        assert int(agents[5].x * (nx / w)) == nx
-    else:
-        copies = [dataclasses.replace(a) for a in agents]
-        copies[2].x, copies[2].y, copies[9].x, copies[9].y = (
-            agents[9].x, agents[9].y, agents[2].x, agents[2].y)
-        world.agents = copies
-
-
-@pytest.mark.parametrize("edit", ["move", "speed", "stop_at_edge",
-                                  "replace_agents"])
-@pytest.mark.parametrize("width", [15.96, 1.95])
-def test_random_walk_buckets_follow_caller_edits(edit, width):
-    # a 1.95 m wide world has 1 cell along x
-    fused, ref = (_flock(seed, scenario=Scenario.RANDOM_WALK, n_red=10,
-                         n_black=10, world_width=width, sonar_range=0.5)
-                  for seed in (0, 0))
-    for t in range(40):
-        if t % 5 == 4:
-            _random_edit(fused, edit)
-            _random_edit(ref, edit)
-        tick(fused)
-        oracle_tick(ref)
-        _audit_random_grid(fused)
-        assert _state(fused) == _state(ref), (edit, width, t)
-    assert (fused.index.grid.nx < 3) == (width < 3.0)
-
-
-# A caller may replace world.params between ticks; the next tick must use
-# the new grid size, cut and scenario.
-
-@pytest.mark.parametrize("field, before, after", [
-    ("collision_radius", 1.0, 3.0),
-    ("sonar_range", 2.5, 0.3),
-    ("scenario", Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK),
-    ("scenario", Scenario.RANDOM_WALK, Scenario.ALL_SOCIAL_AVS),
-])
-def test_replaced_params_take_effect(field, before, after):
-    fused, ref = _flock(0, **{field: before}), _flock(0, **{field: before})
-    for t in range(30):
-        if t == 5:
-            for world in (fused, ref):
-                world.params = dataclasses.replace(world.params, **{field: after})
-        tick(fused)
-        oracle_tick(ref)
-        assert _state(fused) == _state(ref), (field, t)
-    p = fused.params
-    cut = (min(p.sonar_range, p.min_safety_distance)
-           if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
-    assert fused.index.cut == cut
-    assert fused.index.grid.cell_size == max(cut, p.collision_radius)
 
 
 # The neighbor list. On social ticks below half stopped, while the flock is
 # slow and sparse, `tick` measures a list of the pairs that were closer than
 # reach + skin when it was built, and rebuilds the list only when the flock
-# could have closed the skin. The audit below checks every listed tick
-# against a fresh SpatialGrid.scan of the same positions and records how
-# each social tick was served, so each test can show the case it reached.
-
-class _ListAudit:
-    def __init__(self, monkeypatch, ties: bool = False):
-        self.seen = collections.Counter()
-        self.modes: list[str] = []
-        self.ties = ties
-        original = engine._social_pass
-
-        def social_pass(agents, speeds, index, p):
-            before, slack = index.listed, index.slack
-            kept = ([a.x for a in agents] == index.xs
-                    and [a.y for a in agents] == index.ys)
-            got = original(agents, speeds, index, p)
-            if index.listed is None:
-                fast = (index.wide is not None and 2 * speeds.count(0.0) < len(speeds)
-                        and 4.0 * max(map(abs, speeds)) > index.skin)
-                self.modes.append("cache" if index.frozen is not None
-                                  else "fast" if fast else "grid")
-                return got
-            xs = [a.x for a in agents]
-            ys = [a.y for a in agents]
-            ref = SpatialGrid(p.world_width, p.world_height, index.grid.cell_size)
-            ref.rebuild(agents)
-            assert got == ref.scan(xs, ys, p.collision_radius, index.cut)
-            if index.listed is before:
-                self.seen["served"] += 1
-                self.modes.append("served")
-            else:
-                if before is not None and kept:
-                    assert slack < 2.0 * (max(map(abs, speeds)) + index.ulp)
-                    self.seen["slack_rebuild"] += 1
-                self.seen["built"] += 1
-                self.modes.append("built")
-            if self.ties:
-                self._ties(xs, ys, p, index, before is not index.listed)
-            return got
-
-        monkeypatch.setattr(engine, "_social_pass", social_pass)
-
-    def _ties(self, xs, ys, p, index, built):
-        for i, j in itertools.combinations(range(len(xs)), 2):
-            d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], p.world_width,
-                                  p.world_height)
-            self.seen["at_radius"] += d == p.collision_radius
-            self.seen["at_cut"] += d == index.cut
-            self.seen["at_span"] += built and d == index.span
-
-    def runs(self) -> collections.Counter:
-        """The longest run of ticks one list served after it was built,
-        under "longest", and the count of each (mode, next mode) change."""
-        flips = collections.Counter(zip(self.modes, self.modes[1:]))
-        longest = run = 0
-        for mode in self.modes:
-            run = run + 1 if mode == "served" else 0
-            longest = max(longest, run)
-        flips["longest"] = longest
-        return flips
-
-
-def _list_audit(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
-    audit = _ListAudit(monkeypatch, ties)
-    for world in worlds:
-        for _ in range(ticks):
-            tick(world)
-        audit.modes.append("end")
-    return audit.seen, audit.runs()
-
+# could have closed the skin.
 
 def _slow_flock(seed: int, **changes) -> WorldState:
     # sparse enough for the list's density bound (0.63) and, at 0.5 m a
@@ -613,25 +531,23 @@ def _slow_flock(seed: int, **changes) -> WorldState:
 
 
 def test_list_serves_several_ticks_and_rebuilds_on_slack(monkeypatch):
-    seen, runs = _list_audit(monkeypatch, [_slow_flock(seed) for seed in range(2)])
-    assert runs["longest"] >= 2  # (a) one list, three ticks
+    seen, _ = _audited(monkeypatch, [_slow_flock(seed) for seed in range(2)])
+    assert seen["served_again"] > 0  # (a) one list, three ticks
     assert seen["slack_rebuild"] > 0  # (b)
 
 
 def test_list_speed_gate_turns_off_and_on(monkeypatch):
     # recovery takes agents past reach / 2 = 0.5, and mirroring a
-    # neighbor slows them again
+    # neighbor slows them again; the density stays within the list's bound
     world = _slow_flock(0, n_red=12, n_black=12, world_width=24.0,
                         world_height=24.0, max_velocity=0.6, max_acceleration=0.1)
-    seen, runs = _list_audit(monkeypatch, [world])
-    assert runs["served", "fast"] + runs["built", "fast"] >= 2  # (c)
-    assert runs["fast", "built"] >= 2
+    _, flips = _audited(monkeypatch, [world])
+    assert flips["list", "grid"] >= 2 and flips["grid", "list"] >= 2  # (c)
 
 
 def test_list_hands_over_to_the_cache_and_back(monkeypatch):
-    seen, runs = _list_audit(monkeypatch, [_slow_flock(1)])
-    assert runs["served", "cache"] + runs["built", "cache"] > 0  # (d)
-    assert runs["cache", "built"] > 0
+    _, flips = _audited(monkeypatch, [_slow_flock(1)])
+    assert flips["list", "cache"] > 0 and flips["cache", "list"] > 0  # (d)
 
 
 def _list_lattice_world(seed: int) -> WorldState:
@@ -652,7 +568,7 @@ def _list_lattice_world(seed: int) -> WorldState:
 
 def test_list_exact_ties(monkeypatch):
     worlds = [_list_lattice_world(seed) for seed in range(4)]
-    seen, _ = _list_audit(monkeypatch, worlds, ties=True)
+    seen, _ = _audited(monkeypatch, worlds, ties=True)
     assert seen["at_radius"] > 0 and seen["at_cut"] > 0 and seen["at_span"] > 0  # (e)
 
 
@@ -688,51 +604,123 @@ def _lanes_world(x0: float, speed: float, radius: float,
 ], ids=["speed_bound", "crawl"])
 def test_list_head_on_lanes(monkeypatch, x0, speed, radius, width, ticks):
     world = _lanes_world(x0, speed, radius, width)
-    seen, _ = _list_audit(monkeypatch, [world], ticks)
-    assert seen["built"] + seen["served"] == ticks
+    seen, _ = _audited(monkeypatch, [world], ticks)
+    assert seen["list"] == ticks
     assert seen["slack_rebuild"] > 0  # (f)
     assert world.total_collisions == 10  # every lane's pair met once
 
 
-def _list_edit(world: WorldState, edit: str) -> None:
+# tick() is public and WorldState mutable: an edit a caller makes between
+# ticks must reach the next tick's result, whichever source served the last.
+
+def _edit(world: WorldState, edit: str) -> None:
     agents = world.agents
-    far = max(agents, key=lambda a: torus_distance_xy(
-        a.x, a.y, agents[0].x, agents[0].y, 30.0, 30.0))
+    w, h = world.params.world_width, world.params.world_height
+    # a stopped agent if there is one, which leaves the cache when it moves,
+    # and the agent farthest from it, away from its cached or listed pairs
+    a = next((a for a in agents if a.speed == 0.0), agents[0])
+    far = max(agents, key=lambda b: torus_distance_xy(a.x, a.y, b.x, b.y, w, h))
     if edit == "move":
-        # onto an agent across the world, away from its listed pairs
-        agents[0].x, agents[0].y = far.x, far.y
+        a.x, a.y = far.x, far.y  # onto that agent: the pair collides
     elif edit == "speed":
-        agents[0].speed = 1.5  # past the speed bound, reach / 2
+        # past the list's speed bound, and a mover that stops
+        a.speed = 1.5
+        next(b for b in agents if b.speed != 0.0 and b is not a).speed = 0.0
+    elif edit == "stop_at_edge":
+        a.speed, a.x = 0.0, math.nextafter(w, 0.0)
     else:
-        i, j = 0, far.id
-        copies = [dataclasses.replace(a) for a in agents]
-        copies[i].x, copies[i].y, copies[j].x, copies[j].y = (
-            agents[j].x, agents[j].y, agents[i].x, agents[i].y)
+        copies = [dataclasses.replace(b) for b in agents]
+        copies[a.id].x, copies[a.id].y, copies[far.id].x, copies[far.id].y = (
+            far.x, far.y, a.x, a.y)
         world.agents = copies
 
 
-@pytest.mark.parametrize("edit", ["move", "speed", "replace_agents"])
-def test_list_follows_caller_edits(edit):
-    # the edit falls right after a tick that built a list, which would
-    # otherwise serve the next tick
-    fused, ref = _slow_flock(0), _slow_flock(0)
-    listed = None
-    for t in range(40):
+def _follows_caller_edits(monkeypatch, source, make, ticks: int, edit: str):
+    """Tick a world from `make` and its oracle copy for `ticks`, editing
+    both, at least 5 ticks apart, right after a tick `source` served (a
+    list: built), which would otherwise serve the next tick too."""
+    fused, ref = make(), make()
+    audit = _Audit(monkeypatch)
+    edits = []
+    for t in range(ticks):
+        built = audit.seen["built"]
         tick(fused)
         oracle_tick(ref)
-        if t >= 20 and fused.index.listed is not None and (
-                fused.index.listed is not listed):
-            break
-        listed = fused.index.listed
-    listed = fused.index.listed
-    assert listed is not None and fused.index.slack == fused.index.skin * (1 - 1e-9)
-    _list_edit(fused, edit)
-    _list_edit(ref, edit)
-    for t in range(20):
+        assert _state(fused) == _state(ref), (source, edit, t)
+        if source == "random":
+            _audit_random_grid(fused)
+        served = {"cache": audit.sources[-1:] == ["cache"],
+                  "list": audit.seen["built"] > built, "random": True}[source]
+        if served and t < ticks - 5 and (not edits or t >= edits[-1] + 5):
+            _edit(fused, edit)
+            _edit(ref, edit)
+            edits.append(t)
+    assert edits, audit.seen
+    return fused
+
+
+EDITS = ("move", "speed", "stop_at_edge", "replace_agents")
+
+
+@pytest.mark.parametrize("edit", [pytest.param("move", id="move_stopped"),
+                                  *EDITS[1:]])
+def test_static_cache_follows_caller_edits(monkeypatch, edit):
+    _follows_caller_edits(monkeypatch, "cache", lambda: _flock(0), 160, edit)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_list_follows_caller_edits(monkeypatch, edit):
+    _follows_caller_edits(monkeypatch, "list", lambda: _slow_flock(0), 60, edit)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("width", [15.96, 1.95])
+def test_random_walk_buckets_follow_caller_edits(monkeypatch, width, edit):
+    # a 1.95 m wide world has 1 cell along x
+    fused = _follows_caller_edits(monkeypatch, "random", lambda: _flock(
+        0, scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10,
+        world_width=width, sonar_range=0.5), 40, edit)
+    # x * (nx / width) rounds up to nx here: the key must clamp it
+    nx = fused.index.grid.nx
+    assert int(math.nextafter(width, 0.0) * (nx / width)) == nx
+    assert (nx < 3) == (width < 3.0)
+
+
+# A caller may replace world.params between ticks; the next tick must use
+# the new grid size, cut and scenario.
+
+@pytest.mark.parametrize("field, before, after", [
+    ("collision_radius", 1.0, 3.0),
+    ("sonar_range", 2.5, 0.3),
+    ("scenario", Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK),
+    ("scenario", Scenario.RANDOM_WALK, Scenario.ALL_SOCIAL_AVS),
+])
+def test_replaced_params_take_effect(field, before, after):
+    fused, ref = _flock(0, **{field: before}), _flock(0, **{field: before})
+    for t in range(30):
+        if t == 5:
+            for world in (fused, ref):
+                world.params = dataclasses.replace(world.params, **{field: after})
         tick(fused)
         oracle_tick(ref)
-        assert _state(fused) == _state(ref), (edit, t)
-    assert fused.index.listed is not listed
+        assert _state(fused) == _state(ref), (field, t)
+    p = fused.params
+    cut = (min(p.sonar_range, p.min_safety_distance)
+           if p.scenario is Scenario.ALL_SOCIAL_AVS else -1.0)
+    assert fused.index.cut == cut
+    assert fused.index.grid.cell_size == max(cut, p.collision_radius)
+
+
+def _hand_made(spots) -> tuple[WorldState, WorldState]:
+    """Two copies of a 30 x 30 m world of 2 + 2 agents at (x, y, heading,
+    speed) in `spots`, for the oracle and the fused tick."""
+    params = SimParams(n_red=2, n_black=2, world_width=30.0, world_height=30.0,
+                       min_velocity=0.25, max_velocity=0.25, deceleration=0.1,
+                       max_acceleration=0.1)
+    return tuple(WorldState(agents=[
+        AgentState(id=i, team=Team.RED if i < 2 else Team.BLACK, x=x, y=y,
+                   heading=hd, speed=sp) for i, (x, y, hd, sp) in enumerate(spots)],
+        params=params, rng=random.Random(0)) for _ in range(2))
 
 
 def test_list_bounds_a_negative_speed_by_its_size():
@@ -740,15 +728,8 @@ def test_list_bounds_a_negative_speed_by_its_size():
     # tick, so a step bound on max(speeds) would let the list serve three
     # ticks in which the -0.45 m agent and the one it meets head-on close
     # 2.1 m, more than the 2 m skin
-    params = SimParams(n_red=2, n_black=2, world_width=30.0, world_height=30.0,
-                       min_velocity=0.25, max_velocity=0.25, deceleration=0.1,
-                       max_acceleration=0.1)
-    spots = [(10.0, 10.0, 270.0), (13.05, 10.0, 270.0), (25.0, 25.0, 0.0),
-             (5.0, 25.0, 180.0)]
-    fused, ref = (WorldState(agents=[
-        AgentState(id=i, team=Team.RED if i < 2 else Team.BLACK, x=x, y=y,
-                   heading=hd, speed=0.25) for i, (x, y, hd) in enumerate(spots)],
-        params=params, rng=random.Random(0)) for _ in range(2))
+    fused, ref = _hand_made([(10.0, 10.0, 270.0, 0.25), (13.05, 10.0, 270.0, 0.25),
+                             (25.0, 25.0, 0.0, 0.25), (5.0, 25.0, 180.0, 0.25)])
     for t in range(8):
         if t == 1:  # after the first list is built, 3.05 m apart
             assert fused.index.listed == []
@@ -756,4 +737,22 @@ def test_list_bounds_a_negative_speed_by_its_size():
         tick(fused)
         oracle_tick(ref)
         assert _state(fused) == _state(ref), t
+    assert fused.total_collisions == 1
+
+
+def test_list_returning_from_the_cache_is_rebuilt(monkeypatch):
+    # a list is not charged for the ticks the cache serves. Here a pair
+    # 3.1 m apart, beyond reach + skin when the first list is built, closes
+    # 2 m while agent 2's stop puts half the flock on the cache, and must
+    # be measured when agent 2 starts again and the list returns
+    fused, ref = _hand_made([(10.0, 10.0, 90.0, 0.25), (13.6, 10.0, 270.0, 0.25),
+                             (25.0, 25.0, 0.0, 0.25), (5.0, 25.0, 0.0, 0.0)])
+    audit = _Audit(monkeypatch)
+    for t in range(8):
+        if t in (1, 5):
+            fused.agents[2].speed = ref.agents[2].speed = 0.25 if t == 5 else 0.0
+        tick(fused)
+        oracle_tick(ref)
+        assert _state(fused) == _state(ref), t
+    assert audit.sources == ["list"] + ["cache"] * 4 + ["list"] * 3
     assert fused.total_collisions == 1
