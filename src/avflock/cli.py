@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from dataclasses import fields, replace
@@ -22,13 +23,6 @@ from .experiments import (ExperimentSpec, builtin_set, efficiency, export_csv,
                           load_spec, run_experiment)
 from .richardson import (PairState, RichardsonParams, fixed_point, simulate, stability,
                          stable_preset)
-
-def _out_path(path: str) -> str:
-    """Resolve an output path; AVFLOCK_OUT_DIR prefixes relative paths."""
-    base = os.environ.get("AVFLOCK_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
 
 
 def _flag_type(f, kind):
@@ -89,46 +83,62 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def _open_out(path: str):
-    return open(_out_path(path), "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _outputs(outputs: dict, inputs: dict | None = None):
+    """Own a command's output files, {flag: path or None}; yield {flag: path}
+    of those given, relative ones under AVFLOCK_OUT_DIR. Two flags on one
+    file (`inputs` are the files it reads) and an output that cannot be
+    opened are usage errors before any work. A failed body leaves no new file.
+    """
+    base = os.environ.get("AVFLOCK_OUT_DIR", "")  # an absolute path ignores it
+    paths = {flag: os.path.join(base, path) for flag, path in outputs.items() if path}
+    named = [*paths.items(), *((flag, path) for flag, path
+                               in (inputs or {}).items() if path)]
+    # two handles on one file would each truncate it, and the last to flush
+    # would silently win
+    for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
+        if os.path.realpath(path_a) == os.path.realpath(path_b):
+            clash = (f"and {b} name the same file" if b in outputs
+                     else f"names the {b} file")
+            raise ValueError(f"{a} {clash}: {outputs[a]}")
+    new = [path for path in paths.values() if not os.path.exists(path)]
+    try:
+        for path in paths.values():
+            try:  # "a" keeps an existing file's bytes
+                open(path, "a").close()
+            except OSError as exc:  # any bad path, a directory as a missing one
+                raise ValueError(exc) from None
+        yield paths
+    except BaseException:
+        for path in new:
+            if os.path.exists(path):  # else the probe stopped before it
+                os.remove(path)
+        raise
+
+
+def _create(path: str):
+    """An output, truncated and open for writing, as `export_csv` opens one."""
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def cmd_run(args) -> int:
     params = _params_from(args)
-    paths = [_out_path(path) for path in (args.trace, args.out) if path]
-    # two handles on one file would each truncate it, and the last to
-    # flush would silently win
-    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
-        raise ValueError(f"--out and --trace name the same file: {args.out}")
-    # probe every output before truncating any: a bad path fails before the
-    # simulation, "a" keeps an existing file, and only a file the probe
-    # created is removed
-    created = []
-    try:
-        for path in paths:
-            new = not os.path.exists(path)
-            open(path, "a").close()
-            if new:
-                created.append(path)
-    except OSError:
-        for path in created:
-            os.remove(path)
-        raise
-    with contextlib.ExitStack() as stack:
-        trace_fh = stack.enter_context(_open_out(args.trace)) if args.trace else None
-        out_fh = stack.enter_context(_open_out(args.out)) if args.out else None
-        result = run(params, params.seed, trace=trace_fh)
+    with _outputs({"--out": args.out, "--trace": args.trace}) as paths:
+        # only the trace streams; --out is written once the run has succeeded
+        trace = _create(paths["--trace"]) if args.trace else contextlib.nullcontext()
+        with trace as trace_fh:
+            result = run(params, params.seed, trace=trace_fh)
         red, black = result.per_team_collisions
         print(f"total collisions: {result.total_collisions} "
               f"(red {red}, black {black}) over {params.ticks} ticks, "
               f"scenario {params.scenario.value}, seed {result.seed}")
-        if out_fh:
-            out_fh.write(f"# avflock {__version__}\n")
-            out_fh.write("tick,collisions\n")
-            for t, c in enumerate(result.collisions_per_tick, start=1):
-                out_fh.write(f"{t},{c}\n")
-            out_fh.close()
-            print(f"per-tick collisions written to {out_fh.name}")
+        if args.out:
+            with _create(paths["--out"]) as fh:
+                fh.write(f"# avflock {__version__}\n")
+                fh.write("tick,collisions\n")
+                for t, c in enumerate(result.collisions_per_tick, start=1):
+                    fh.write(f"{t},{c}\n")
+            print(f"per-tick collisions written to {fh.name}")
     return 0
 
 
@@ -158,23 +168,12 @@ def cmd_sweep(args) -> int:
         spec = load_spec(args.spec)
     if args.batches is not None:
         spec = replace(spec, batches=args.batches)
-    created = False
-    if args.out:
-        path = _out_path(args.out)
-        if args.spec and os.path.realpath(path) == os.path.realpath(args.spec):
-            raise ValueError(f"--out names the --spec file: {args.out}")
-        created = not os.path.exists(path)
-        open(path, "a").close()  # a bad path fails now; "a" keeps the old file
-    try:
+    with _outputs({"--out": args.out}, {"--spec": args.spec}) as paths:
         rows = run_experiment(spec, jobs=args.jobs)
-    except BaseException:
-        if created:  # leave no empty file behind
-            os.remove(path)
-        raise
-    _print_rows(rows)
-    if args.out:
-        export_csv(rows, path)
-        print(f"summary written to {path}")
+        _print_rows(rows)
+        if args.out:
+            export_csv(rows, paths["--out"])
+            print(f"summary written to {paths['--out']}")
     return 0
 
 
@@ -204,17 +203,17 @@ def cmd_compare(args) -> int:
 def cmd_richardson(args) -> int:
     params = RichardsonParams(**{f.name: getattr(args, f.name)
                                  for f in fields(RichardsonParams)})
-    trajectory = simulate(PairState(args.v1, args.v2), params, args.steps)
-    lines = [f"# avflock {__version__}", "step,v1,v2"]
-    lines += [f"{i},{s.v1!r},{s.v2!r}" for i, s in enumerate(trajectory)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = _out_path(args.out)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"trajectory written to {path}")
-    else:
-        sys.stdout.write(text)
+    with _outputs({"--out": args.out}) as paths:
+        trajectory = simulate(PairState(args.v1, args.v2), params, args.steps)
+        lines = [f"# avflock {__version__}", "step,v1,v2"]
+        lines += [f"{i},{s.v1!r},{s.v2!r}" for i, s in enumerate(trajectory)]
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            with _create(paths["--out"]) as fh:
+                fh.write(text)
+            print(f"trajectory written to {fh.name}")
+        else:
+            sys.stdout.write(text)
     report = stability(params)
     print(f"stability: {report.kind.value} (spectral radius {report.spectral_radius!r})")
     fp = fixed_point(params)

@@ -1,6 +1,7 @@
 """CLI surface: flag parsing, exit codes, determinism, file emission."""
 
 import argparse
+import errno
 import hashlib
 import os
 import subprocess
@@ -86,8 +87,19 @@ class TestRun:
 
     def test_out_dir_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("AVFLOCK_OUT_DIR", str(tmp_path))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         assert main(RUN_SMOKE + ["--out", "relative.csv"]) == 0
         assert (tmp_path / "relative.csv").exists()
+        # every other output flag resolves the same way
+        for argv, name in [(RUN_SMOKE + ["--trace", "trace.log"], "trace.log"),
+                           (TestSweep.ARGS + ["--out", "sweep.csv"], "sweep.csv"),
+                           (["richardson", "--steps", "3", "--out", "traj.csv"],
+                            "traj.csv")]:
+            assert main(argv) == 0
+            assert (tmp_path / name).stat().st_size > 0
+        assert list(cwd.iterdir()) == []
 
 
 class TestSweep:
@@ -286,27 +298,79 @@ class TestBadInput:
         assert main(TestSweep.ARGS + ["--out", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
-    def test_failed_sweep_keeps_the_previous_output(self, capsys, monkeypatch,
-                                                    tmp_path):
+    # the simulation call each command makes, broken below, and its command line
+    FAILING = {"run": ("avflock.cli.run", RUN_SMOKE + ["--trace", "trace.log"]),
+               "sweep": ("avflock.experiments.run", TestSweep.ARGS)}
+
+    @pytest.mark.parametrize("command", FAILING)
+    def test_failed_command_keeps_the_previous_output(self, capsys, monkeypatch,
+                                                      tmp_path, command):
         def broken(*args, **kwargs):
             raise ValueError("run failed")
 
-        monkeypatch.setattr("avflock.experiments.run", broken)
+        target, argv = self.FAILING[command]
+        monkeypatch.setattr(target, broken)
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "set1.csv"
         path.write_text("the previous sweep's summary\n")
-        assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
+        assert main(argv + ["--out", str(path)]) == 2
         assert "run failed" in capsys.readouterr().err
         assert path.read_text() == "the previous sweep's summary\n"
+        assert list(tmp_path.iterdir()) == [path]  # no new --trace left behind
 
-    def test_failed_sweep_leaves_no_new_output(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("command", FAILING)
+    def test_failed_command_leaves_no_new_output(self, capsys, monkeypatch, tmp_path,
+                                                 command):
         def broken(*args, **kwargs):
             raise ValueError("run failed")
 
-        monkeypatch.setattr("avflock.experiments.run", broken)
+        target, argv = self.FAILING[command]
+        monkeypatch.setattr(target, broken)
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "new.csv"
-        assert main(TestSweep.ARGS + ["--out", str(path)]) == 2
+        assert main(argv + ["--out", str(path)]) == 2
         assert "run failed" in capsys.readouterr().err
         assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_during_the_run_exits_one(self, capsys, monkeypatch, tmp_path):
+        # a full disk is a runtime failure, not a bad path
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("avflock.cli.run", disk_full)
+        argv = RUN_SMOKE + ["--out", str(tmp_path / "x.csv"),
+                            "--trace", str(tmp_path / "t.log")]
+        assert main(argv) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["missing/x.csv", "directory", "file/x.csv"],
+                             ids=["missing-directory", "directory", "under-a-file"])
+    @pytest.mark.parametrize("argv", [
+        RUN_SMOKE + ["--out"], RUN_SMOKE + ["--trace"], TestSweep.ARGS + ["--out"],
+        ["richardson", "--steps", "3", "--out"],
+    ], ids=["run---out", "run---trace", "sweep", "richardson"])
+    def test_unopenable_output_exits_two(self, capsys, tmp_path, argv, bad):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "file").write_text("a file, not a directory\n")
+        before = sorted(tmp_path.iterdir())
+        bad = str(tmp_path / bad)
+        assert main(argv + [bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "file").read_text() == "a file, not a directory\n"
+
+    def test_richardson_unwritable_output_fails_before_simulating(self, capsys,
+                                                                  monkeypatch, tmp_path):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated before opening the output")
+
+        monkeypatch.setattr("avflock.cli.simulate", no_simulate)
+        bad = tmp_path / "missing" / "x.csv"
+        assert main(["richardson", "--steps", "3", "--out", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_dead_sweep_worker_is_one_error_line(self, capfd, monkeypatch):
         caller = os.getpid()
