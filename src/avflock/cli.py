@@ -61,11 +61,10 @@ def _add_param_flags(parser: argparse.ArgumentParser, exclude=()) -> None:
                        help=f"{help_text or ''} (default {default})".lstrip())
 
 
-def _params_from(args, **fixed) -> SimParams:
-    """SimParams from the flags the user gave plus `fixed`."""
+def _params_from(args) -> SimParams:
+    """SimParams from the flags the user gave."""
     return SimParams.from_given({f.name: getattr(args, f.name)
-                                 for f in fields(SimParams) if hasattr(args, f.name)},
-                                **fixed)
+                                 for f in fields(SimParams) if hasattr(args, f.name)})
 
 
 def _default_jobs() -> int:
@@ -165,7 +164,10 @@ def cmd_sweep(args) -> int:
             if v is not None:
                 raise ValueError(f"{flag} applies to --builtin only; "
                                  "set it in the spec file instead")
-        spec = load_spec(args.spec)
+        try:
+            spec = load_spec(args.spec)
+        except OSError as exc:  # missing, a directory or unreadable: a usage error
+            raise ValueError(exc) from None
     if args.batches is not None:
         spec = replace(spec, batches=args.batches)
     with _outputs({"--out": args.out}, {"--spec": args.spec}) as paths:
@@ -178,8 +180,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    social = _params_from(args, scenario=Scenario.ALL_SOCIAL_AVS)
-    rnd = _params_from(args, scenario=Scenario.RANDOM_WALK)
+    social = _params_from(args)  # compare has no --scenario: the default, social
+    rnd = replace(social, scenario=Scenario.RANDOM_WALK)
     spec = ExperimentSpec("compare", (social, rnd),
                           repetitions=args.reps, base_seed=args.base_seed)
     rows = run_experiment(spec, jobs=args.jobs)
@@ -293,10 +295,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

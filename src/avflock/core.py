@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from typing import get_type_hints
@@ -96,15 +96,21 @@ class AgentState:
 _BOOL_WORDS = {"1": True, "yes": True, "true": True, "on": True,
                "0": False, "no": False, "false": False, "off": False}
 
-# the scenarios' names on the command line and in spec files
-SCENARIO_NAMES = {"social": Scenario.ALL_SOCIAL_AVS, "random": Scenario.RANDOM_WALK}
-
 
 def _is_a(value, kind: type) -> bool:
     """isinstance, except that a bool is only a bool and an int is also a float."""
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """The seed rule: an int that is not a bool, and at least 0.
+    random.Random(-s) replays random.Random(s), and True or 2.0 replay 1 or 2."""
+    if not _is_a(seed, int):
+        raise ValueError(f"{name} must be int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 @functools.cache
@@ -147,9 +153,10 @@ class SimParams:
     the type checks are all derived from these fields. Metadata: `flag` is a
     CLI spelling other than `--field-name`, `help` the flag's help text,
     `slider` the range of the simulator this model was calibrated against
-    (outside it a value warns rather than fails, because the benchmark
-    configurations themselves sit outside some of them), and `names` an enum
-    field's spellings other than its members' values.
+    (outside it a value given to `from_given` warns rather than fails,
+    because the benchmark configurations themselves sit outside some of
+    them), and `names` an enum field's spellings other than its members'
+    values.
     """
 
     n_red: int = field(default=40, metadata={
@@ -166,12 +173,13 @@ class SimParams:
         "slider": (1.5, 5.0)})
     sonar_range: float = field(default=2.5, metadata={"slider": (0.0, 10.0)})
     scenario: Scenario = field(default=Scenario.ALL_SOCIAL_AVS, metadata={
-        "help": "behavior mode", "names": SCENARIO_NAMES})
+        "help": "behavior mode",
+        "names": {"social": Scenario.ALL_SOCIAL_AVS, "random": Scenario.RANDOM_WALK}})
     world_width: float = 100.0
     world_height: float = 100.0
     collision_radius: float = 1.0
     ticks: int = 1000
-    seed: int = 0
+    seed: int = 0  # only backs `avflock run --seed`: run() takes its own seed
     collision_rule: CollisionRule = field(default=CollisionRule.PAIR_ENTRY, metadata={
         "help": "how proximity events are counted"})
     literal_rules: bool = field(default=False, metadata={
@@ -183,7 +191,7 @@ class SimParams:
         self.validate()
 
     def validate(self) -> None:
-        """Raise on malformed settings, warn on out-of-slider-range values."""
+        """Raise on malformed settings."""
         for f, kind in typed_fields(type(self)):
             v = getattr(self, f.name)
             if not _is_a(v, kind):
@@ -192,8 +200,7 @@ class SimParams:
                 raise ValueError(f"{f.name} must be finite, got {v}")
         if self.ticks < 1:
             raise ValueError(f"ticks must be >= 1, got {self.ticks}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if self.world_width <= 0 or self.world_height <= 0:
             raise ValueError("world dimensions must be positive")
         if self.collision_radius <= 0:
@@ -218,27 +225,21 @@ class SimParams:
             raise ValueError("acceleration rates must be non-negative")
         if self.min_safety_distance < 0:
             raise ValueError("min_safety_distance must be non-negative")
-        self._warn_outside_sliders({f.name for f in fields(self)})
 
     @classmethod
-    def from_given(cls, given: Mapping[str, object], **fixed) -> SimParams:
-        """Build from the values a user gave plus `fixed` ones; unlike the
-        constructor, only the given values warn when outside a slider range."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ParamRangeWarning)
-            params = cls(**given, **fixed)
-        params._warn_outside_sliders(given)
-        return params
-
-    def _warn_outside_sliders(self, names: Collection[str]) -> None:
-        for f in fields(self):
-            if f.name in names and "slider" in f.metadata:
+    def from_given(cls, given: Mapping[str, object]) -> SimParams:
+        """Build from the values a user gave, and warn once for each of them
+        that is outside its slider range."""
+        params = cls(**given)
+        for f in fields(cls):
+            if f.name in given and "slider" in f.metadata:
                 lo, hi = f.metadata["slider"]
-                v = getattr(self, f.name)
+                v = getattr(params, f.name)
                 if not lo <= v <= hi:
                     warnings.warn(
                         f"{f.name}={v} outside the slider range [{lo}, {hi}]",
                         ParamRangeWarning, stacklevel=2)
+        return params
 
 
 @dataclass

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 # traced run (perfbench/tracer.py) looks them up on this module
 from .agents import ActionKind, random_walk_step, social_step  # noqa: F401
 from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,  # noqa: F401
-                   WorldState, _wrap1, displace, torus_distance_xy)
+                   WorldState, _check_seed, _wrap1, displace, torus_distance_xy)
 
 
 class SpatialGrid:
@@ -417,13 +417,12 @@ class RunResult:
     seed: int
 
 
-def setup(params: SimParams, seed: int | None = None) -> WorldState:
+def setup(params: SimParams, seed: int) -> WorldState:
     """Create the initial world: red agents head 90, black head 120, all at
     min velocity, positions independently uniform (x then y per agent)."""
-    if seed is not None and seed < 0:  # random.Random(-s) is random.Random(s)
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     n = params.n_red + params.n_black
-    rng = random.Random(params.seed if seed is None else seed)
+    rng = random.Random(seed)
     w, h = params.world_width, params.world_height
     agents = []
     for i in range(n):
@@ -754,13 +753,12 @@ def _trace_rows(world: WorldState, tails: dict) -> str:
     return "".join(rows)
 
 
-def run(params: SimParams, seed: int | None = None, trace=None) -> RunResult:
+def run(params: SimParams, seed: int, trace=None) -> RunResult:
     """Set up and execute a full run; deterministic in (params, seed).
 
     `trace`, when given, is a writable text stream receiving one line per
     agent per tick: tick,agent,x,y,heading,speed,action.
     """
-    seed = params.seed if seed is None else seed
     world = setup(params, seed)
     if trace is not None:
         trace.write("tick,agent,x,y,heading,speed,action\n")

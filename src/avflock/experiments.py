@@ -10,10 +10,10 @@ seed = base_seed + j * repetitions + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 from . import __version__
-from .core import SCENARIO_NAMES, Scenario, SimParams, from_text, typed_fields
+from .core import Scenario, SimParams, _check_seed, from_text, typed_fields
 from .engine import run
 
 _CSV_HEADER = ("set,config_id,scenario,n_red,n_black,min_vel,max_vel,"
@@ -44,8 +44,7 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
-        if self.base_seed < 0:  # seeds -s and s would give the same stream
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _check_seed(self.base_seed, "base_seed")
         # the name is a field of every summary CSV row, written unquoted
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError("name must not contain a comma, a quote or a line "
@@ -74,16 +73,9 @@ class SummaryRow:
 def seed_groups(spec: ExperimentSpec) -> list[int]:
     """Seed-group index per configuration; scenario is ignored for grouping
     so paired scenarios replay identical seeds."""
-    groups: dict[tuple, int] = {}
-    out = []
-    for p in spec.configurations:
-        # field values, not a replace(): building a SimParams re-validates
-        # and would warn for every out-of-slider field
-        key = tuple(getattr(p, f.name) for f in fields(p) if f.name != "scenario")
-        if key not in groups:
-            groups[key] = len(groups)
-        out.append(groups[key])
-    return out
+    groups: dict[SimParams, int] = {}
+    return [groups.setdefault(replace(p, scenario=Scenario.ALL_SOCIAL_AVS), len(groups))
+            for p in spec.configurations]
 
 
 def _seed(spec: ExperimentSpec, n_groups: int, group: int, rep: int, batch: int) -> int:
@@ -240,9 +232,8 @@ def builtin_set(which: str, ticks: int = 1000, repetitions: int = 8,
     configs = []
     for pop in _POPULATIONS:
         for scenario in (Scenario.ALL_SOCIAL_AVS, Scenario.RANDOM_WALK):
-            # fixed benchmark values, not user input: nothing warns
-            configs.append(SimParams.from_given(
-                {}, n_red=pop, n_black=pop,
+            configs.append(SimParams(
+                n_red=pop, n_black=pop,
                 max_acceleration=0.1,
                 min_safety_distance=1.0, sonar_range=2.5,
                 scenario=scenario, ticks=ticks,
@@ -262,10 +253,37 @@ def load_spec(path: str) -> ExperimentSpec:
     """
     import configparser  # only spec files need the INI parser
 
+    parser = configparser.ConfigParser()
     try:
-        return _load_spec(path)
-    except configparser.Error as exc:  # malformed INI: a usage error
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:  # malformed INI or interpolation: a usage error
         raise ValueError(f"{path}: {exc}") from exc
+    settings = {"name": "custom"}
+    section_of: dict[SimParams, str] = {}  # each configuration, in file order
+    for section, items in sections.items():
+        if section == "experiment":
+            settings.update(_parse_section(section, items, ExperimentSpec,
+                                           exclude="configurations"))
+            continue
+        if "seed" in items:
+            raise ValueError(f"[{section}] seed is set per replicate by the "
+                             "seed schedule; set [experiment] base_seed instead")
+        paired = items.get("scenario", "both") == "both"
+        if paired:  # the pair's social half; its random half is derived below
+            items["scenario"] = "social"
+        params = SimParams.from_given(_parse_section(section, items, SimParams,
+                                                     exclude="seed"))
+        configs = [params]
+        if paired:
+            configs.append(replace(params, scenario=Scenario.RANDOM_WALK))
+        for params in configs:
+            if params in section_of:
+                raise ValueError(f"{path}: [{section_of[params]}] and [{section}] "
+                                 "are identical configurations")
+            section_of[params] = section
+    return ExperimentSpec(configurations=tuple(section_of), **settings)
 
 
 def _parse_section(section: str, items, cls: type, exclude: str) -> dict:
@@ -281,38 +299,6 @@ def _parse_section(section: str, items, cls: type, exclude: str) -> dict:
         except ValueError as exc:
             raise ValueError(f"[{section}] {exc}") from None
     return values
-
-
-def _load_spec(path: str) -> ExperimentSpec:
-    import configparser
-
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    settings = {"name": "custom"}
-    section_of: dict[SimParams, str] = {}  # each configuration, in file order
-    for section in parser.sections():
-        items = dict(parser[section])
-        if section == "experiment":
-            settings.update(_parse_section(section, items, ExperimentSpec,
-                                           exclude="configurations"))
-            continue
-        if "seed" in items:
-            raise ValueError(f"[{section}] seed is set per replicate by the "
-                             "seed schedule; set [experiment] base_seed instead")
-        paired = items.get("scenario", "both") == "both"
-        if paired:
-            items.pop("scenario", None)
-        values = _parse_section(section, items, SimParams, exclude="seed")
-        for scenario in SCENARIO_NAMES.values() if paired else [values.pop("scenario")]:
-            params = SimParams.from_given(values, scenario=scenario)
-            if params in section_of:
-                raise ValueError(f"{path}: [{section_of[params]}] and [{section}] "
-                                 "are identical configurations")
-            section_of[params] = section
-    if not section_of:
-        raise ValueError(f"{path}: no configuration sections found")
-    return ExperimentSpec(configurations=tuple(section_of), **settings)
 
 
 def format_rows(rows: list[SummaryRow]) -> str:

@@ -102,6 +102,12 @@ def simulate(initial: PairState, params: RichardsonParams, n: int) -> list[PairS
     return out
 
 
+def _scale(p: RichardsonParams) -> float:
+    """A power of two near the largest update-matrix entry; 1 if no product overflows."""
+    largest = max(abs(p.beta1), abs(p.beta2), abs(p.delta1), abs(p.delta2))
+    return 1.0 if largest < 2.0 ** 500 else math.ldexp(1.0, math.frexp(largest)[1] - 1)
+
+
 def fixed_point(params: RichardsonParams) -> PairState | None:
     """Solve (I - M) v = c for the affine update; None if not unique.
 
@@ -109,20 +115,24 @@ def fixed_point(params: RichardsonParams) -> PairState | None:
     not a failure. A returned point is re-checked to be step-invariant.
     """
     p = params
-    # I - M for M = [[b1, d1], [d2, b2]]
-    a11 = 1.0 - p.beta1
-    a12 = -p.delta1
-    a21 = -p.delta2
-    a22 = 1.0 - p.beta2
+    s = _scale(p)
+    # (I - M) / s for M = [[b1, d1], [d2, b2]]
+    a11 = (1.0 - p.beta1) / s
+    a12 = -p.delta1 / s
+    a21 = -p.delta2 / s
+    a22 = (1.0 - p.beta2) / s
     det = a11 * a22 - a12 * a21
-    if abs(det) <= _SINGULAR_TOL:
+    if abs(det) <= _SINGULAR_TOL / (s * s):
         return None
     c1 = p.g1 * p.h1
     c2 = p.g2 * p.h2
-    v = PairState((c1 * a22 - a12 * c2) / det, (a11 * c2 - c1 * a21) / det)
+    v = PairState((c1 * a22 - a12 * c2) / det / s, (a11 * c2 - c1 * a21) / det / s)
     nxt = step(v, params)
-    scale = max(1.0, abs(v.v1), abs(v.v2))
-    if abs(nxt.v1 - v.v1) > _TOL * scale or abs(nxt.v2 - v.v2) > _TOL * scale:
+    # step's rounding error grows with its largest term, not with |v|
+    tol = _TOL * max(1.0, *map(abs, (v.v1, v.v2, c1, c2, p.beta1 * v.v1, p.delta1 * v.v2,
+                                     p.delta2 * v.v1, p.beta2 * v.v2)))
+    # written so that NaN and infinity fail it too
+    if not (abs(nxt.v1 - v.v1) <= tol and abs(nxt.v2 - v.v2) <= tol < math.inf):
         raise ArithmeticError(f"fixed point failed its invariance check: {v} -> {nxt}")
     return v
 
@@ -130,10 +140,12 @@ def fixed_point(params: RichardsonParams) -> PairState | None:
 def spectral_radius(params: RichardsonParams) -> float:
     """Largest eigenvalue magnitude of the update matrix [[b1,d1],[d2,b2]]."""
     p = params
-    tr = p.beta1 + p.beta2
-    det = p.beta1 * p.beta2 - p.delta1 * p.delta2
+    s = _scale(p)  # rho(M) = s * rho(M / s)
+    b1, b2, d1, d2 = p.beta1 / s, p.beta2 / s, p.delta1 / s, p.delta2 / s
+    tr = b1 + b2
+    det = b1 * b2 - d1 * d2
     disc = cmath.sqrt(tr * tr - 4.0 * det)
-    return max(abs((tr + disc) / 2.0), abs((tr - disc) / 2.0))
+    return s * max(abs((tr + disc) / 2.0), abs((tr - disc) / 2.0))
 
 
 def stability(params: RichardsonParams) -> StabilityReport:
@@ -141,8 +153,8 @@ def stability(params: RichardsonParams) -> StabilityReport:
     rho = spectral_radius(params)
     if rho < 1.0 - _TOL:
         kind = Stability.STABLE
-    elif rho > 1.0 + _TOL:
-        kind = Stability.UNSTABLE
-    else:
+    elif rho <= 1.0 + _TOL:  # a NaN radius is not marginal: it falls through
         kind = Stability.MARGINAL
+    else:
+        kind = Stability.UNSTABLE
     return StabilityReport(kind, rho)

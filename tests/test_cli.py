@@ -122,7 +122,14 @@ class TestSweep:
 
     def test_missing_spec_file_exits_two(self, capsys):
         assert main(["sweep", "--spec", "missing.cfg"]) == 2
-        assert "missing.cfg" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'missing.cfg'\n")
+
+    def test_directory_as_spec_file_exits_two(self, capsys, tmp_path):
+        assert main(["sweep", "--spec", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
 
     def test_builtin_and_spec_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
@@ -532,7 +539,8 @@ class TestRangeWarnings:
         assert self._range_warnings(recwarn) == [
             "max_velocity=0.3 outside the slider range [0.6, 1.0]"]
 
-    def test_builtin_sweep_stderr_is_empty(self, tmp_path):
+    @staticmethod
+    def _main_stderr(tmp_path, *argv) -> str:
         # a fresh interpreter: the warning registry of this one may already
         # hold the messages, which would hide a repeat
         src = str(Path(avflock.__file__).resolve().parents[1])
@@ -542,11 +550,23 @@ class TestRangeWarnings:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from avflock.cli import main; sys.exit(main(sys.argv[1:]))",
-             "sweep", "--builtin", "set1", "--ticks", "5", "--reps", "1",
-             "--jobs", "1"],
+             *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
-        assert proc.stderr == ""
+        return proc.stderr
+
+    def test_builtin_sweep_stderr_is_empty(self, tmp_path):
+        assert self._main_stderr(tmp_path, "sweep", "--builtin", "set1", "--ticks",
+                                 "5", "--reps", "1", "--jobs", "1") == ""
+
+    def test_paired_spec_section_warns_once(self, tmp_path):
+        # both halves of the pair carry the value, but it was given once
+        (tmp_path / "pair.cfg").write_text(
+            "[experiment]\nrepetitions = 1\n[config:x]\nn_red = 150\nticks = 2\n")
+        err = self._main_stderr(tmp_path, "sweep", "--spec", "pair.cfg", "--jobs", "1")
+        (line,) = [l for l in err.splitlines() if "ParamRangeWarning" in l]
+        assert line.endswith("ParamRangeWarning: n_red=150 outside the slider "
+                             "range [0, 100]")
 
 
 def _actions(command: str) -> list[argparse.Action]:

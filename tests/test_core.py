@@ -1,7 +1,9 @@
 """World geometry and domain-type contracts."""
 
+import dataclasses
 import math
 import random
+import warnings
 
 import pytest
 
@@ -95,12 +97,19 @@ class TestForward:
 class TestSimParams:
     def test_out_of_range_slider_warns(self):
         with pytest.warns(ParamRangeWarning):
-            SimParams(max_velocity=0.3)  # below the 0.6 slider floor
+            SimParams.from_given({"max_velocity": 0.3})  # below the 0.6 slider floor
 
     def test_benchmark_safety_value_warns_but_builds(self):
         with pytest.warns(ParamRangeWarning):
-            p = SimParams(min_safety_distance=1.0)
+            p = SimParams.from_given({"min_safety_distance": 1.0})
         assert p.min_safety_distance == 1.0
+
+    def test_constructor_and_replace_do_not_warn(self):
+        # the defaults max_velocity 0.3 and min_safety_distance 1.0 are
+        # outside their slider ranges: only a value a user gives warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataclasses.replace(SimParams(), ticks=5)
 
     def test_zero_ticks_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,16 @@ class TestSetup:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run(dataclasses.replace(TABLE1, ticks=1), -1)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, 1.5, -1])
+    def test_seed_must_be_an_int_of_at_least_zero(self, seed):
+        # True and 2.0 replayed seeds 1 and 2
+        with pytest.raises(ValueError, match=r"seed must be (int|>= 0), got"):
+            run(dataclasses.replace(TABLE1, ticks=1), seed)
+
+    def test_run_requires_a_seed(self):
+        with pytest.raises(TypeError):
+            run(dataclasses.replace(TABLE1, ticks=1))
+
     def test_ids_are_list_indices(self):
         world = setup(TABLE1, seed=4)
         assert [a.id for a in world.agents] == list(range(80))
@@ -237,8 +247,9 @@ class TestRun:
         params = dataclasses.replace(TABLE1, ticks=5)
         r = run(params, seed=42)
         assert r.seed == 42 and r.params == params
-        r2 = run(dataclasses.replace(params, seed=9))
-        assert r2.seed == 9
+        # the seed argument is the run's only seed: SimParams.seed is not read
+        r2 = run(dataclasses.replace(params, seed=9), seed=42)
+        assert dataclasses.replace(r2, params=params) == r
 
     def test_random_walk_exceeds_social_at_benchmark_scale(self):
         # direction of the headline comparison at 80+80, identical seed
@@ -295,9 +306,9 @@ class TestRun:
                          params, headings=[h for h, _ in values],
                          speeds=[s for _, s in values])
         ref = copy.deepcopy(world)
-        monkeypatch.setattr(engine, "setup", lambda params, seed=None: world)
+        monkeypatch.setattr(engine, "setup", lambda params, seed: world)
         buf = io.StringIO()
-        run(params, trace=buf)
+        run(params, 0, trace=buf)
 
         rows = ["tick,agent,x,y,heading,speed,action\n"]
         for _ in range(params.ticks):

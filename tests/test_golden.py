@@ -26,11 +26,10 @@ import dataclasses
 import hashlib
 import io
 import itertools
-import warnings
 
 import pytest
 
-from avflock.core import CollisionRule, ParamRangeWarning, Scenario, SimParams
+from avflock.core import CollisionRule, Scenario, SimParams
 from avflock.engine import run, setup, tick
 
 TICKS = 1000
@@ -233,7 +232,6 @@ def test_trace_digest_pinned(key):
 
 
 if __name__ == "__main__":
-    warnings.simplefilter("ignore", ParamRangeWarning)
     for k in CASES + SET2_CASES:
         print(f'    "{k}":\n        "{run_digest(k)}",')
     for k in TRACE_CASES:

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from avflock import richardson
+from avflock.cli import main
 from avflock.richardson import (PairState, RichardsonParams, Stability,
                                 fixed_point, simulate, spectral_radius,
                                 stability, stable_preset, step)
@@ -177,6 +179,45 @@ class TestStability:
 
     def test_stable_preset_is_stable(self):
         assert stability(stable_preset()).kind is Stability.STABLE
+
+
+class TestLargeCoefficients:
+    """Coefficients whose products dwarf the result or overflow a float."""
+
+    def test_fixed_point_check_scales_with_step_terms(self, capsys):
+        # step's rounding error scales with |d2*v1| ~ 6e11, not with |v| ~ 100
+        p = RichardsonParams(delta1=2.0, delta2=6e9, alpha1=-80.0, alpha2=-6e9,
+                             g1=-8000.0, h1=1.0)
+        assert fixed_point(p) == pytest.approx((-4000 / 39, -4000 / 39))
+        assert main(["richardson", "--delta1", "2", "--delta2", "6e9",
+                     "--alpha1=-80", "--alpha2=-6e9", "--g1=-8000", "--h1", "1",
+                     "--steps", "0"]) == 0
+        assert "fixed point: v1=-102.564102564" in capsys.readouterr().out
+
+    def test_overflowing_products_are_unstable_and_singular(self, capsys):
+        # tr*tr and b1*b2 overflow: unscaled, the radius and the point were NaN
+        p = RichardsonParams(delta1=1e200, delta2=1e200, alpha1=1e200, alpha2=1e200)
+        report = stability(p)
+        assert report.kind is Stability.UNSTABLE
+        assert report.spectral_radius == pytest.approx(2e200)
+        assert fixed_point(p) is None
+        assert main(["richardson", "--delta1", "1e200", "--delta2", "1e200",
+                     "--alpha1", "1e200", "--alpha2", "1e200", "--steps", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "stability: Unstable (spectral radius 2e+200)" in out
+        assert "fixed point: none" in out
+
+    def test_nan_radius_is_not_marginal(self, monkeypatch):
+        monkeypatch.setattr(richardson, "spectral_radius", lambda p: math.nan)
+        assert stability(stable_preset()).kind is Stability.UNSTABLE
+
+    def test_overflowing_fixed_point_is_one_error_line(self, capsys):
+        # g1*h1 overflows, so the solve gives infinities that step cannot keep
+        assert main(["richardson", "--g1", "1e300", "--h1", "1e10",
+                     "--steps", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixed point failed its invariance check")
+        assert len(err.splitlines()) == 1
 
 
 class TestClosedForm:
