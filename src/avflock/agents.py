@@ -50,9 +50,10 @@ def find_nearmates(agent: AgentState, world: WorldState, sonar_range: float,
                    candidates: Iterable[int] | None = None) -> NeighborView:
     """Enumerate other agents within sonar range (inclusive).
 
-    `candidates` may pre-restrict the ids examined (the engine passes its
-    spatial-index candidates); the result must not depend on it. Nearest is
-    the minimum distance, ties broken by lowest agent id.
+    `candidates` may pre-restrict the ids examined, for instance to
+    `SpatialGrid.candidates(agent.x, agent.y)`; the result must not depend
+    on it. Nearest is the minimum distance, ties broken by lowest agent id.
+    The engine's tick does not call this: it reproduces it bit for bit.
     """
     agents = world.agents
     w = world.params.world_width

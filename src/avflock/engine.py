@@ -9,12 +9,13 @@ neighbor state, so per-agent application is snapshot-equivalent.
 Tick phases: _social_pass, _decide, _tally (random walk: _random_pass, _tally).
 
 Behavior and collision detection read the same post-move positions, so a
-tick makes one half-shell pass over unordered agent pairs
-(SpatialGrid.scan). It yields the colliding pairs and each agent's nearest
-neighbor within min(sonar_range, min_safety_distance), which is all a social
-decision reads: the nearest agent within sonar range is a threat exactly
-when it lies within that cut. That pair rule lives in `_measure` alone;
-every pass only builds its partner lists.
+tick makes one pass over unordered agent pairs (SpatialGrid.scan), each
+cell paired with its neighbor cells of larger key. It yields the colliding
+pairs and each agent's nearest neighbor within min(sonar_range,
+min_safety_distance), which is all a social decision reads: the nearest
+agent within sonar range is a threat exactly when it lies within that cut.
+That pair rule lives in `_measure` alone; every pass only builds its
+partner lists.
 
 Mirroring a threatening neighbor at reduced speed stops social agents, and
 stopped agents pile into clusters. An agent with speed 0 does not move, so
@@ -73,6 +74,9 @@ from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,  # noqa
                    WorldState, _check_seed, _wrap1, displace, torus_distance_xy)
 
 
+_MAX_CELLS = 1 << 30  # of a SpatialGrid, per axis and per metre
+
+
 class SpatialGrid:
     """Uniform bucket grid over the torus for broad-phase neighbor queries.
 
@@ -87,14 +91,16 @@ class SpatialGrid:
         self.width = width
         self.height = height
         self.cell_size = cell_size
-        self.nx = max(1, int(width / cell_size))
-        self.ny = max(1, int(height / cell_size))
+        # capped, so that a tiny cell_size or world keeps the count and the
+        # scales below finite; fewer, wider cells answer the same queries
+        self.nx = max(1, int(min(width / cell_size, _MAX_CELLS, width * _MAX_CELLS)))
+        self.ny = max(1, int(min(height / cell_size, _MAX_CELLS, height * _MAX_CELLS)))
         self._sx = self.nx / width
         self._sy = self.ny / height
         self.buckets: dict[int, list[int]] = {}
         self._rings: dict[int, tuple[int, ...]] = {}
-        # half-shell neighbors of the cells whose stencil wraps; interior
-        # cells compute theirs, so this grows with the perimeter, not the area
+        # the larger keys of each wrapping ring `_partners` has read:
+        # slicing them out of the ring on every tick costs more
         self._edges: dict[int, tuple[int, ...]] = {}
 
     def rebuild(self, agents: list[AgentState]) -> None:
@@ -160,8 +166,10 @@ class SpatialGrid:
 
     def ring(self, key: int) -> tuple[int, ...]:
         """The distinct keys of the 3x3 wrapped neighborhood of cell `key`,
-        memoized. `around` computes the interior cells' own: the memo holds
-        cells whose stencil wraps, and grows with the perimeter, not the area."""
+        in key order, memoized; the only code that wraps a cell coordinate.
+        `around` and `_partners` compute the interior cells' own: the memo
+        holds cells whose stencil wraps, and grows with the perimeter, not
+        the area."""
         hood = self._rings.get(key)
         if hood is None:
             nx, ny = self.nx, self.ny
@@ -195,22 +203,6 @@ class SpatialGrid:
         """
         return next(self.around((self.key(x, y),)))
 
-    def _half_shell(self, key: int) -> tuple[int, ...]:
-        """The neighbor cells of `key` whose pairs with it `scan` visits.
-
-        With at least 3 cells per axis the 8 neighbors are distinct and the
-        shell is 4 of them, one of each opposite pair. On a smaller grid the
-        stencil wraps onto itself, so the shell is the deduplicated
-        neighborhood's cells with a larger key.
-        """
-        ny = self.ny
-        if self.nx < 3 or ny < 3:
-            return tuple(c for c in self.ring(key) if c > key)
-        cx, cy = divmod(key, ny)
-        east = (cx + 1) % self.nx * ny
-        return (cx * ny + (cy + 1) % ny, east + (cy - 1) % ny, east + cy,
-                east + (cy + 1) % ny)
-
     def scan(self, xs: list[float], ys: list[float], radius: float,
              cut: float) -> tuple[set[tuple[int, int]], list[int]]:
         """One pass over the unordered pairs of the current buckets.
@@ -233,19 +225,21 @@ class SpatialGrid:
 
     def _partners(self):
         """Yield each agent with its partners: the agents after it in its
-        cell and those in its cell's half-shell, so that every unordered
-        pair of the buckets is listed once. Each list is freed once it is
-        measured, so the cyclic collector never walks a tick's worth."""
+        cell and those in its cell's neighbors with a larger key, so that
+        every unordered pair of the buckets is listed once. Each list is
+        freed once it is measured, so the cyclic collector never walks a
+        tick's worth."""
         buckets = self.buckets
         get = buckets.get
         edges = self._edges
         ny = self.ny
-        inner = self.nx >= 3 and ny >= 3
         last_x, last_y = (self.nx - 1) * ny, ny - 1
         for key, cell in buckets.items():
-            if inner and key < last_x and 0 < key % ny < last_y:
+            # around's interior test; such a cell's larger-key neighbors
+            # are these 4
+            if ny <= key < last_x and 0 < key % ny < last_y:
                 e = key + ny
-                # most cells of a sparse grid have no occupied half-shell
+                # most cells of a sparse grid have no occupied larger-key
                 # neighbor: probe before building the partner list
                 if (key + 1 in buckets or e - 1 in buckets or e in buckets
                         or e + 1 in buckets):
@@ -254,10 +248,11 @@ class SpatialGrid:
                 else:
                     others = []
             else:
-                shell = edges.get(key)
-                if shell is None:
-                    shell = edges[key] = self._half_shell(key)
-                others = [j for k in shell for j in get(k, ())]
+                after = edges.get(key)
+                if after is None:
+                    hood = self.ring(key)
+                    after = edges[key] = hood[hood.index(key) + 1:]
+                others = [j for k in after for j in get(k, ())]
             if len(cell) == 1:
                 if others:
                     yield cell[0], others
@@ -524,7 +519,9 @@ class _Index:
         self.ys: list[float] | None = None
         self.skin = 2.0 * reach
         self.wide = SpatialGrid(w, h, reach + self.skin)
-        self.cap = 2.0 * w * h / (math.pi * self.wide.cell_size ** 2)
+        # span^2 would underflow to 0 for a tiny reach
+        span = self.wide.cell_size
+        self.cap = 2.0 * (w / span) * (h / span) / math.pi
         self.ulp = 4.0 * math.ulp(max(w, h))
         self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
@@ -743,7 +740,8 @@ def _trace_rows(world: WorldState, tails: dict) -> str:
         if (type(hd) is type(sp) is float
                 and (hd or copysign(1.0, hd) > 0.0)
                 and (sp or copysign(1.0, sp) > 0.0)):
-            key = (hd, sp, kind)
+            # an Enum member hashes in Python code, its str value in C
+            key = (hd, sp, kind._value_)
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = f",{hd!r},{sp!r},{kind.value}\n"

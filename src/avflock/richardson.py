@@ -89,15 +89,20 @@ def step(state: PairState, params: RichardsonParams) -> PairState:
 
 
 def simulate(initial: PairState, params: RichardsonParams, n: int) -> list[PairState]:
-    """Iterate `step` n times; element 0 is the initial state (length n+1)."""
+    """Iterate `step` n times; element 0 is the initial state (length n+1).
+
+    Raises ArithmeticError, naming the step, once a state overflows.
+    """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
     if not (math.isfinite(initial.v1) and math.isfinite(initial.v2)):
         raise ValueError(f"initial state must be finite, got {initial}")
     out = [initial]
     s = initial
-    for _ in range(n):
+    for k in range(1, n + 1):
         s = step(s, params)
+        if not (math.isfinite(s.v1) and math.isfinite(s.v2)):
+            raise ArithmeticError(f"step {k} is not finite: {s}")
         out.append(s)
     return out
 

@@ -45,6 +45,19 @@ class TestRun:
         assert "no agents" in capsys.readouterr().err
         assert path.read_bytes() == b"the previous run's output\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--collision-radius", "1e-200"],  # the list's span ** 2 underflows
+        ["--collision-radius", "1e-200", "--scenario", "random"],
+        ["--collision-radius", "1e-320"],  # width / cell_size overflows
+        ["--collision-radius", "1e-310", "--world-width", "1e-300",
+         "--world-height", "1e-300"],  # 2 ** 30 cells / width overflows
+    ])
+    def test_tiny_collision_radius_runs(self, capsys, argv):
+        assert main(["run", "--sonar-range", "0", "--ticks", "2"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("total collisions:")
+        assert captured.err == ""
+
     def test_invalid_flag_value_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--ticks", "soon"])

@@ -396,6 +396,31 @@ class TestSpatialGrid:
             # equal to an ascending list of distinct ids: no id twice
             assert sorted(got) == [i for i, c in enumerate(cell_of) if c in block]
 
+    @pytest.mark.parametrize("nx, ny", itertools.product(range(1, 6), repeat=2))
+    def test_partners_list_each_adjacent_pair_once(self, nx, ny):
+        # 1-2 agents in every cell: interior cells, the cx == 0 column, all
+        # four edges, the corners, and grids whose 3x3 block wraps onto itself.
+        # Measuring a pair twice gives the same result, so the brute-force
+        # comparisons cannot see a pair listed twice; this can.
+        rng = random.Random(10 * nx + ny)
+        cell_of = [c for c in itertools.product(range(nx), range(ny))
+                   for _ in range(1 + rng.randrange(2))]
+        agents = [AgentState(id=i, team=Team.RED, x=cx + rng.uniform(0.05, 0.95),
+                             y=cy + rng.uniform(0.05, 0.95), heading=0.0, speed=0.0)
+                  for i, (cx, cy) in enumerate(cell_of)]
+        grid = SpatialGrid(float(nx), float(ny), 1.0)
+        assert (grid.nx, grid.ny) == (nx, ny)
+        grid.rebuild(agents)
+        listed = sorted((min(i, j), max(i, j))
+                        for i, partners in grid._partners() for j in partners)
+
+        def adjacent(a, b):
+            return all(min(abs(p - q), n - abs(p - q)) <= 1
+                       for p, q, n in zip(a, b, (nx, ny)))
+
+        assert listed == [(i, j) for i, j in itertools.combinations(range(len(agents)), 2)
+                          if adjacent(cell_of[i], cell_of[j])]
+
     def test_tiny_grid_neighborhoods_deduplicate(self):
         # 2x2 cells: the wrapped 3x3 stencil collapses without double counting
         grid = SpatialGrid(5.2, 5.2, 2.5)

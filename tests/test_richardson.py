@@ -87,6 +87,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="initial state must be finite"):
             simulate(state, SYM, 3)
 
+    def test_overflowing_step_raises_naming_it(self):
+        p = RichardsonParams(delta1=-1e200, delta2=1e200, alpha1=1e200, alpha2=1e200)
+        assert simulate(PairState(1.0, 0.0), p, 1)[1] == PairState(1e200, 1e200)
+        with pytest.raises(ArithmeticError, match="step 2 is not finite"):
+            simulate(PairState(1.0, 0.0), p, 3)
+
     def test_linearity_when_goal_terms_zero(self):
         rng = random.Random(23)
         p = RichardsonParams(delta1=0.3, delta2=-0.2, alpha1=-0.4, alpha2=-0.6)
@@ -219,6 +225,18 @@ class TestLargeCoefficients:
         assert err.startswith("error: fixed point failed its invariance check")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_trajectory_is_one_error_line(self, capsys):
+        # step 2 is (nan, inf): no row reaches stdout, and the error names it
+        argv = ["richardson", "--delta1=-1e200", "--delta2", "1e200",
+                "--alpha1", "1e200", "--alpha2", "1e200"]
+        assert main(argv + ["--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: step 2 is not finite")
+        assert len(captured.err.splitlines()) == 1
+        assert main(argv + ["--steps", "1"]) == 0
+        assert "\n1,1e+200,1e+200\n" in capsys.readouterr().out
+
 
 class TestClosedForm:
     def test_simulate_matches_closed_form_for_stable_draws(self):
@@ -249,3 +267,4 @@ class TestClosedForm:
             assert abs(final.v1 - want1) <= tol1
             assert abs(final.v2 - want2) <= tol2
             done += 1
+
