@@ -17,32 +17,20 @@ agent within sonar range is a threat exactly when it lies within that cut.
 That pair rule lives in `_measure` alone; every pass only builds its
 partner lists.
 
-Mirroring a threatening neighbor at reduced speed stops social agents, and
-stopped agents pile into clusters. An agent with speed 0 does not move, so
-its distances to other stopped agents repeat bit for bit. On social ticks
-where at least half the agents are stopped before the move, StaticCache
-keeps the stopped agents' colliding pairs and nearest stopped neighbors
-across ticks and measures only the pairs with a mover in them; it yields
-exactly what SpatialGrid.scan yields. The grid keeps the only bucket map
-(the cache re-buckets its movers with SpatialGrid.move), and every pass
-lists a cell's 3x3 block with SpatialGrid.around. Each mover is measured
-against every agent around it, so a pair of movers is measured from both
-ends, to the same result. Below half, the cache would cost more than it
-saves, and the cache is dropped.
-
-Below half stopped, a slow, sparse flock's neighborhoods barely change from
-one tick to the next. There the tick keeps a Verlet list of the pairs that
-were within reach + skin when it was built and measures only those; it is
-rebuilt once the flock could have closed the skin. A flock too fast or too
-dense for the list takes the grid pass. _Index.source alone picks the cache,
-the list or the grid pass per tick; the list and the cache hold only while
-every agent is where the last social pass left it.
-
-The random walk scans every tick; its speed floor is min_velocity, so with
-a positive floor nothing in it stops. Its tick draws and makes both moves
-for each agent in one loop that also collects the positions `scan` reads.
-At the paper's density most occupied cells have no occupied neighbor, and
-`scan` skips a lone agent in such a cell after four key probes.
+Both scenarios' passes move their agents, then take the tick's pairs from
+one pair step, _Index.pairs, out of the source _Index.source picks:
+- at least half stopped, StaticCache. An agent with speed 0 does not move,
+  so its distances to other stopped agents repeat bit for bit, and stopped
+  social agents pile into clusters. The cache keeps the stopped agents'
+  colliding pairs and nearest stopped neighbors across ticks and measures
+  only the pairs with a mover in them.
+- else, while the flock is slow and sparse, a Verlet list of the pairs that
+  were within reach + skin when it was built, rebuilt once the flock could
+  have closed the skin. A random walker moves twice a tick, so its skin is
+  twice the social one.
+- else the grid pass.
+The cache and the list hold only while every agent is where the last tick
+they served left it. Each yields exactly what SpatialGrid.scan yields.
 
 `run` writes the trace once per tick. A row's heading, speed and action
 text repeats across agents and ticks, so it is memoised per value; only
@@ -307,16 +295,12 @@ def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
 
 
 class StaticCache:
-    """The pairs of the stopped agents, kept across social ticks.
-
-    An agent with speed 0 does not move, so the distance between two
-    stopped agents is bit-unchanged from tick to tick. The cache holds each
-    agent's cell key (the grid's buckets, which `scan` keeps current, hold
-    the agents), the colliding pairs among the static agents (those stopped
-    since they joined) and each static agent's nearest static neighbor
-    within the cut as (d, id). A tick then measures only the pairs with a
-    mover in them, and `scan` returns what SpatialGrid.scan returns.
-    """
+    """The pairs of the stopped agents, which keep their positions, across
+    ticks: each agent's cell key (the grid's buckets, which `scan` keeps
+    current, hold the agents), the colliding pairs among the static agents
+    (those stopped since they joined) and each static agent's nearest static
+    neighbor within the cut as (d, id). A tick then measures only the pairs
+    with a mover in them, and `scan` returns what SpatialGrid.scan returns."""
 
     __slots__ = ("grid", "cells", "static", "n_static", "pairs", "best",
                  "near")
@@ -351,11 +335,9 @@ class StaticCache:
              ys: list[float], radius: float,
              cut: float) -> tuple[set[tuple[int, int]], list[int]]:
         """SpatialGrid.scan's pairs and nearest ids after this tick's move.
-
         `moved` lists the agents with a nonzero speed, which moved from the
         positions of the last scan to `xs`/`ys`; every other agent has speed
-        0 and kept its position.
-        """
+        0 and kept its position."""
         # the agents that thaw leave the cache from the cell they were
         # static in, before the movers are re-bucketed; the agents that
         # freeze join
@@ -484,27 +466,27 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
-    heading, the social tick's StaticCache and neighbor list (each None while
-    `source` picks another pair source), and the positions the last social
-    pass left, which the cache and the list hold for.
+    heading, the StaticCache and the neighbor list (each None while `source`
+    picks another pair source), and the positions the last tick either
+    served left (`xs`, `ys`).
 
-    The neighbor list (a Verlet list) serves social ticks below half stopped.
-    With reach = max(cut, collision_radius), skin = 2 * reach and
-    span = reach + skin, `listed` holds the (i, partners) lists of the pairs
-    closer than `span` when it was built, from a second grid (`wide`) with
-    cell `span`. A tick moves each agent by its speed, so no pair closes by
-    more than twice the largest one (`top`), plus a per-move rounding
-    allowance (`ulp`); `slack` is what the list can still absorb. A pair
-    missing from the list was at least `span` apart and has closed by less
-    than `skin`, so it is still beyond `reach`, and `_measure` over the list
-    yields what SpatialGrid.scan yields. The list is used only while it
-    lasts at least two ticks (4 * speed <= skin) and the world's n agents,
-    spread evenly, would list at most about one pair each (n <= `cap` =
-    2wh / (pi span^2)): past either bound it costs more than the grid pass.
+    The list: with reach = max(cut, collision_radius) and `moves` per agent
+    per tick (1 social, 2 random walk), skin = 2 * reach * moves and span =
+    reach + skin. `listed` holds the (i, partners) lists of the pairs closer
+    than `span` when it was built, from a second grid (`wide`) with cell
+    `span`. No pair closes by more than `step` = 2 * moves * (top + ulp) a
+    tick, `top` the largest |speed| and `ulp` a per-move rounding allowance;
+    `slack` is what the list can still absorb. A pair missing from the list
+    was at least `span` apart and has closed by less than `skin`: it is
+    still beyond `reach`. The list serves only while it lasts two ticks
+    (2 * step <= skin without the allowance: top <= reach / 2) and the
+    world's n agents, spread evenly, would list at most about one pair each
+    (n <= `cap` = 2wh / (pi span^2)); past either bound the grid costs less.
     """
 
     __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
-                 "wide", "cap", "skin", "ulp", "top", "listed", "slack")
+                 "wide", "cap", "moves", "skin", "ulp", "step", "listed",
+                 "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -517,7 +499,8 @@ class _Index:
         self.frozen: StaticCache | None = None
         self.xs: list[float] | None = None
         self.ys: list[float] | None = None
-        self.skin = 2.0 * reach
+        self.moves = 1.0 if social else 2.0
+        self.skin = 2.0 * reach * self.moves
         self.wide = SpatialGrid(w, h, reach + self.skin)
         # span^2 would underflow to 0 for a tiny reach
         span = self.wide.cell_size
@@ -527,18 +510,61 @@ class _Index:
         self.slack = 0.0
 
     def source(self, speeds: list[float]) -> str:
-        """The pair source of a social tick whose agents have `speeds`:
+        """The pair source of a tick whose agents start it with `speeds`:
         "cache" at least half stopped, else "list" while the flock is slow
         and sparse enough, else "grid". Drops the state of the others."""
-        if 2 * speeds.count(0.0) >= len(speeds):
+        lo = min(speeds, default=0.0)  # no agent stopped while lo > 0
+        if lo <= 0.0 and 2 * speeds.count(0.0) >= len(speeds):
             self.listed = None
             return "cache"
         self.frozen = None
-        top = self.top = max(max(speeds), -min(speeds))  # a negative speed moves back
-        if 4.0 * top <= self.skin and len(speeds) <= self.cap:
+        top = max(max(speeds), -lo)  # a negative speed moves back
+        self.step = 2.0 * self.moves * (top + self.ulp)
+        if 4.0 * self.moves * top <= self.skin and len(speeds) <= self.cap:
             return "list"
         self.listed = None
         return "grid"
+
+    def hold(self, xs: list[float], ys: list[float]) -> None:
+        """Drop the cache and the list unless every agent is at (xs, ys), where
+        the last tick they served left it: a caller may edit the world."""
+        if xs != self.xs or ys != self.ys:
+            self.frozen = self.listed = None
+
+    def pairs(self, source: str, agents: list[AgentState], xs: list[float],
+              ys: list[float], speeds: list[float], moved: list[int] | None
+              ) -> tuple[set[tuple[int, int]], list[int]]:
+        """SpatialGrid.scan's pairs and nearest ids from `source`, at the
+        agents' new positions `xs`/`ys`; `speeds` are those the tick started
+        with and `moved` (the cache's) the agents with a nonzero one."""
+        radius, cut = self.params.collision_radius, self.cut
+        if source == "grid":
+            self.grid.rebuild(agents)
+            return self.grid.scan(xs, ys, radius, cut)
+        self.xs = xs
+        self.ys = ys
+        if source == "cache":
+            if self.frozen is None:
+                self.grid.rebuild(agents)
+                self.frozen = StaticCache(self.grid, xs, ys)
+            return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
+        if self.listed is not None and self.slack >= self.step:
+            self.slack -= self.step
+        else:
+            # the pairs closer than reach + skin, listed by their lower id
+            self.wide.rebuild(agents)
+            partners: dict[int, list[int]] = {}
+            for i, j in self.wide.scan(xs, ys, self.wide.cell_size, -1.0)[0]:
+                partners.setdefault(i, []).append(j)
+            self.listed = list(partners.items())
+            # less a share for the rounding of the distances themselves
+            self.slack = self.skin * (1.0 - 1e-9)
+        n = len(xs)
+        pairs: set[tuple[int, int]] = set()
+        near = [-1] * n
+        _measure(self.listed, xs, ys, self.grid.width, self.grid.height, radius,
+                 cut, pairs, [math.inf] * n, near)
+        return pairs, near
 
 
 def _sincos(trig: dict, heading: float) -> tuple[float, float]:
@@ -556,12 +582,12 @@ def tick(world: WorldState) -> WorldState:
     if index is None or index.params is not p:
         index = world.index = _Index(p)
     agents = world.agents
+    speeds = [a.speed for a in agents]
     if p.scenario is Scenario.ALL_SOCIAL_AVS:
-        speeds = [a.speed for a in agents]
         now, near = _social_pass(agents, speeds, index, p)
         world.last_actions = _decide(agents, speeds, near, p)
     else:
-        now = _random_pass(world, index)
+        now = _random_pass(world, speeds, index)
         world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
     world.collisions_per_tick.append(_tally(world, now))
     world.tick += 1
@@ -585,18 +611,11 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
                 y = (a.y + sp * sc[1]) % h
                 a.x = 0.0 if x >= w else x
                 a.y = 0.0 if y >= h else y
-        index.grid.rebuild(agents)
-        return index.grid.scan([a.x for a in agents], [a.y for a in agents],
-                               p.collision_radius, index.cut)
-    # the cache of the stopped agents' pairs or the neighbor list. A caller
-    # may edit the world between ticks, so either holds only while every
-    # agent is where the last pass left it.
+        return index.pairs(source, agents, [a.x for a in agents],
+                           [a.y for a in agents], speeds, None)
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
-    kept = xs == index.xs and ys == index.ys
-    if source == "cache" and (index.frozen is None or not kept):
-        index.grid.rebuild(agents)
-        index.frozen = StaticCache(index.grid, xs, ys)
+    index.hold(xs, ys)
     # the same move, over the movers only
     moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
     for i in moved:
@@ -607,33 +626,7 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
         y = (ys[i] + sp * sc[1]) % h
         a.x = xs[i] = 0.0 if x >= w else x
         a.y = ys[i] = 0.0 if y >= h else y
-    index.xs = xs
-    index.ys = ys
-    if source == "cache":
-        return index.frozen.scan(speeds, moved, xs, ys, p.collision_radius,
-                                 index.cut)
-    step = 2.0 * (index.top + index.ulp)
-    if kept and index.listed is not None and index.slack >= step:
-        index.slack -= step
-    else:
-        # the pairs closer than reach + skin, listed by their lower id
-        index.wide.rebuild(agents)
-        partners: dict[int, list[int]] = {}
-        for i, j in index.wide.scan(xs, ys, index.wide.cell_size, -1.0)[0]:
-            got = partners.get(i)
-            if got is None:
-                partners[i] = [j]
-            else:
-                got.append(j)
-        index.listed = list(partners.items())
-        # less a share for the rounding of the distances themselves
-        index.slack = index.skin * (1.0 - 1e-9)
-    n = len(agents)
-    pairs: set[tuple[int, int]] = set()
-    near = [-1] * n
-    _measure(index.listed, xs, ys, w, h, p.collision_radius, index.cut, pairs,
-             [math.inf] * n, near)
-    return pairs, near
+    return index.pairs(source, agents, xs, ys, speeds, moved)
 
 
 def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
@@ -664,12 +657,18 @@ def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
     return kinds
 
 
-def _random_pass(world: WorldState, index: _Index) -> set[tuple[int, int]]:
+def _random_pass(world: WorldState, speeds: list[float],
+                 index: _Index) -> set[tuple[int, int]]:
     """Draw, turn and move every agent, equal to random_walk_step plus its two
     displace calls, then return the colliding pairs."""
     p = world.params
     agents = world.agents
     trig = index.trig
+    source = index.source(speeds)
+    if source != "grid":
+        index.hold([a.x for a in agents], [a.y for a in agents])
+    moved = ([i for i, sp in enumerate(speeds) if sp != 0.0]
+             if source == "cache" else None)
     getrandbits = world.rng.getrandbits
     w, h = p.world_width, p.world_height
     maxv, minv = p.max_velocity, p.min_velocity
@@ -719,8 +718,7 @@ def _random_pass(world: WorldState, index: _Index) -> set[tuple[int, int]]:
         a.random_behaviour = not a.random_behaviour
         xs.append(x)
         ys.append(y)
-    index.grid.rebuild(agents)
-    return index.grid.scan(xs, ys, p.collision_radius, index.cut)[0]
+    return index.pairs(source, agents, xs, ys, speeds, moved)[0]
 
 
 def _trace_rows(world: WorldState, tails: dict) -> str:

@@ -7,7 +7,9 @@ times them for the performance criterion.
 """
 
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,21 @@ def test_criterion_04_higher_velocity_raises_social_collisions(full_sweep):
     s1, s2 = social_40(rows1), social_40(rows2)
     ok = s2 > s1
     assert _report(4, ok, f"social mean at 40+40: set1 {s1:.2f} vs set2 {s2:.2f}")
+
+
+def test_readme_quotes_each_sets_social_random_ratios(full_sweep):
+    # README "Results at desk scale" gives each set's range of social/random
+    # mean ratios; a sweep that leaves it must change the README too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.search(r"ratios (\S+) to (\S+)\s+in set 1 and (\S+) to (\S+) in set 2",
+                       readme)
+    assert quoted, "README no longer quotes the ratio ranges"
+    bounds = [float(x) for x in quoted.groups()]
+    rows1, rows2, _ = full_sweep
+    for rows, (lo, hi) in zip((rows1, rows2), (bounds[:2], bounds[2:])):
+        ratios = [s / r for s, r in zip(_means(rows, Scenario.ALL_SOCIAL_AVS),
+                                        _means(rows, Scenario.RANDOM_WALK))]
+        assert all(lo <= x <= hi for x in ratios), (lo, hi, ratios)
 
 
 def test_criterion_05_efficiency_arithmetic():

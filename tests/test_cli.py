@@ -1,7 +1,9 @@
 """CLI surface: flag parsing, exit codes, determinism, file emission."""
 
 import argparse
+import contextlib
 import errno
+import io
 import hashlib
 import os
 import subprocess
@@ -12,6 +14,8 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import avflock
 import avflock.cli as cli
@@ -537,6 +541,40 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert all(name in err for name in names)
+
+
+# Any `avflock run` built from hostile values of the float flags exits 0 or
+# 2, or 1 with one error line; nothing escapes main as a traceback. The
+# examples take the random walk's neighbor list with a tiny radius and in a
+# huge world.
+HOSTILE = ("0", "-0.0", "5e-324", "1e-300", "1e9", "1e300", "inf", "nan", "-1")
+FLOAT_FLAGS = ("--min-velocity", "--max-velocity", "--max-acceleration",
+               "--deceleration", "--safety-distance", "--sonar-range",
+               "--world-width", "--world-height", "--collision-radius")
+
+
+@pytest.mark.filterwarnings("ignore::avflock.core.ParamRangeWarning")
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.sampled_from(HOSTILE),
+                             min_size=1, max_size=4),
+       scenario=st.sampled_from(("social", "random")), ticks=st.integers(1, 3))
+@example(flags={"--collision-radius": "1e-300", "--min-velocity": "5e-324",
+                "--max-velocity": "5e-324"}, scenario="random", ticks=3)
+@example(flags={"--world-width": "1e300", "--world-height": "1e300"},
+         scenario="random", ticks=3)
+def test_hostile_run_flags_exit_cleanly(flags, scenario, ticks):
+    argv = ["run", "--scenario", scenario, "--ticks", str(ticks)]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert out.getvalue().startswith("total collisions:"), argv
+    else:
+        assert code in (1, 2) and lines and lines[0].startswith("error:"), argv
+        assert code == 2 or len(lines) == 1, (argv, lines)
 
 
 class TestRangeWarnings:

@@ -9,20 +9,16 @@ cases of the pass: grids with fewer than 3 cells per axis, a safety
 distance beyond the sonar range, sonar 0, agents at identical positions,
 exact equal-distance ties, and a slow, sparse flock.
 
-A social tick takes its pairs from one of three sources, which
+A tick of either scenario takes its pairs from one of three sources, which
 _Index.source picks: the grid pass, StaticCache (at least half the flock
 stopped) or the neighbor list (a slow, sparse flock). One audit wraps
-_social_pass: after every social tick it checks the pairs and nearest ids
-against a fresh scan and an O(n^2) reference, whatever served them, and
-records the source. The gate's bounds are tested on the gate itself. The
-tests after them run the audit on worlds that reach each corner of the
-cache (dense worlds that freeze and thaw for 1000 ticks) and of the list
-(slack rebuilds, the speed bound turning off and on, hand-overs, exact
-ties, head-on lanes), and on caller edits between ticks.
-
-The random-walk tick collects the positions it scans in its move loop; its
-grid and pairs are audited against a fresh SpatialGrid after every tick,
-across caller edits.
+_Index.pairs, the one pair step: after every tick it checks the pairs and
+nearest ids against a fresh scan of the agents and an O(n^2) reference,
+whatever served them, and records the source. The gate's bounds are tested
+on the gate itself. The tests after them run the audit on worlds that reach
+each corner of the cache (dense worlds that freeze and thaw for 1000 ticks)
+and of the list (slack rebuilds, the speed bound turning off and on,
+hand-overs, exact ties, head-on lanes), and on caller edits between ticks.
 A world.params replaced between ticks must take effect on the next tick.
 """
 
@@ -97,8 +93,9 @@ def _geometry(rng: random.Random, case: str) -> dict:
                     min_safety_distance=rng.choice((0.5, 1.0, 1.5)),
                     collision_radius=rng.choice((0.5, 1.0)))
     if case == "slow_flock":
-        # within the neighbor list's density bound: reach at most 1 and
-        # at most 30 agents in at least 22 x 22 m
+        # within the social list's density bound: reach at most 1 and at
+        # most 30 agents in at least 22 x 22 m; the random walk's wider span
+        # admits the smaller flocks or radii
         sonar = rng.uniform(0.5, 1.0)
         return dict(world_width=rng.uniform(22.0, 40.0),
                     world_height=rng.uniform(22.0, 40.0), sonar_range=sonar,
@@ -173,7 +170,7 @@ def _state(world: WorldState):
 def test_fused_tick_equals_oracle_after_every_tick(monkeypatch, case):
     audit = _Audit(monkeypatch)
     combos = itertools.product(Scenario, CollisionRule, (False, True))
-    listed = 0
+    listed = collections.Counter()
     for k, (scenario, rule, literal) in enumerate(combos):
         fused, ref = _world_pair(1000 * CASES.index(case) + k, case, scenario,
                                  rule, literal)
@@ -182,13 +179,12 @@ def test_fused_tick_equals_oracle_after_every_tick(monkeypatch, case):
             tick(fused)
             oracle_tick(ref)
             assert _state(fused) == _state(ref), (case, scenario, rule, literal, t)
-            if scenario is Scenario.RANDOM_WALK:
-                _audit_random_grid(fused)
-        listed += audit.seen["list"] > before
+        listed[scenario] += audit.seen["list"] > before
     if case == "slow_flock":
-        # the social worlds tick on the neighbor list; one starts with more
-        # than half its agents stopped, on the cache
-        assert listed >= 5, audit.seen
+        # the worlds of both scenarios tick on the neighbor list; one social
+        # world starts with more than half its agents stopped, on the cache
+        assert listed[Scenario.ALL_SOCIAL_AVS] >= 5, listed
+        assert listed[Scenario.RANDOM_WALK] == 6, listed
 
 
 def test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis():
@@ -259,36 +255,31 @@ def test_scan_rejects_reach_beyond_cell():
     assert grid.scan([], [], 1.0, math.nextafter(1.0, 0.0)) == (set(), [])
 
 
-# One audit for every social pair source. It wraps _social_pass, checks
-# each tick against a fresh fine-grid scan and _brute_force, records the
-# source _Index.source picked, and counts the corner cases the ticks met,
-# so each test can show that it reached them. A later source is audited by
-# the same code.
+# One audit for every pair source of both scenarios. It wraps _Index.pairs,
+# checks each tick against a fresh fine-grid scan of the agents' positions
+# and _brute_force, records the source served, and counts the corner cases
+# the ticks met, so each test can show that it reached them. A later source
+# is audited by the same code.
 
 class _Audit:
     def __init__(self, monkeypatch, ties: bool = False):
         # per source, the ticks it served; per corner, the times it was met
         self.seen = collections.Counter()
-        self.sources: list[str] = []  # per social tick, "end" between worlds
+        self.sources: list[str] = []  # per tick, "end" between worlds
         self.ties = ties
-        gate, social_pass = engine._Index.source, engine._social_pass
+        pair_step = engine._Index.pairs
 
-        def source(index, speeds):
-            got = gate(index, speeds)
-            self.sources.append(got)
-            self.seen[got] += 1
-            return got
-
-        def audited(agents, speeds, index, p):
+        def audited(index, source, agents, xs, ys, speeds, moved):
+            self.sources.append(source)
+            self.seen[source] += 1
             cache, listed, slack = index.frozen, index.listed, index.slack
-            kept = ([a.x for a in agents] == index.xs
-                    and [a.y for a in agents] == index.ys)
             # StaticCache.scan edits the cache in place
             before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
                                 cache.cells[:])
-            got = social_pass(agents, speeds, index, p)
+            got = pair_step(index, source, agents, xs, ys, speeds, moved)
             xs = [a.x for a in agents]
             ys = [a.y for a in agents]
+            p = index.params
             w, h = p.world_width, p.world_height
             ref = SpatialGrid(w, h, index.grid.cell_size)
             ref.rebuild(agents)
@@ -296,21 +287,20 @@ class _Audit:
             # every source and the reference scan share _measure: check it
             # against its own oracle too
             assert got == _brute_force(xs, ys, w, h, p.collision_radius, index.cut)
-            if self.sources[-1] == "list":
-                self._list(index, listed, kept, slack, speeds, xs, ys, p)
+            if source == "list":
+                self._list(index, listed, slack, speeds, xs, ys, p)
                 return got
             # the grid's one bucket map follows the movers: each cell holds
             # the ids a fresh rebuild puts there, in any order
             assert ({k: sorted(b) for k, b in index.grid.buckets.items()}
                     == {k: sorted(b) for k, b in ref.buckets.items()})
-            if self.sources[-1] == "cache":
+            if source == "cache":
                 if index.frozen is not cache:  # a new cache: none static yet
                     before = ([False] * len(xs), [-1] * len(xs), set(), None)
                 self._cache(index.frozen, before, speeds, xs, ys, index.cut)
             return got
 
-        monkeypatch.setattr(engine._Index, "source", source)
-        monkeypatch.setattr(engine, "_social_pass", audited)
+        monkeypatch.setattr(engine._Index, "pairs", audited)
 
     def _cache(self, cache, before, speeds, xs, ys, cut):
         seen = self.seen
@@ -342,16 +332,21 @@ class _Audit:
         seen["mover_on_mover"] += sum(xs[i] == xs[j] and ys[i] == ys[j]
                                       for i, j in itertools.combinations(moved, 2))
 
-    def _list(self, index, listed, kept, slack, speeds, xs, ys, p):
+    def _list(self, index, listed, slack, speeds, xs, ys, p):
         seen = self.seen
         built = index.listed is not listed
         seen["built" if built else "served"] += 1
+        # a pair closes by at most 2 * (max |speed| + ulp) per move: one
+        # move a social tick, two a random-walk tick
+        moves = 1 if p.scenario is Scenario.ALL_SOCIAL_AVS else 2
+        step = 2.0 * moves * (max(map(abs, speeds)) + index.ulp)
         if not built:
+            assert slack >= step  # a list serves while its slack covers a tick
             # (a) a list serving a tick it was already charged for
             seen["served_again"] += slack < index.skin * (1.0 - 1e-9)
-        elif listed is not None and kept:
+        elif listed is not None:  # _Index.hold drops a list the caller moved
             # (b) a list rebuilt only because its slack ran out
-            assert slack < 2.0 * (max(map(abs, speeds)) + index.ulp)
+            assert slack < step
             seen["slack_rebuild"] += 1
         if self.ties:
             for i, j in itertools.combinations(range(len(xs)), 2):
@@ -363,7 +358,7 @@ class _Audit:
 
 
 def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
-    """Tick each world with every social tick audited; returns the audit's
+    """Tick each world with every tick audited; returns the audit's
     counts and the count of each (source, next source) pair of ticks."""
     audit = _Audit(monkeypatch, ties)
     for world in worlds:
@@ -373,43 +368,29 @@ def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
     return audit.seen, collections.Counter(zip(audit.sources, audit.sources[1:]))
 
 
-# The random walk collects the positions it scans in its move loop, not from
-# the agents. After every random tick the grid must hold what a fresh
-# rebuild of the same agents holds, and the tick's pairs must be what a scan
-# of the agents' positions yields.
-
-def _audit_random_grid(world: WorldState) -> None:
-    grid = world.index.grid
-    ref = SpatialGrid(grid.width, grid.height, grid.cell_size)
-    ref.rebuild(world.agents)
-    assert grid.buckets == ref.buckets
-    xs = [a.x for a in world.agents]
-    ys = [a.y for a in world.agents]
-    # the oracle's per-agent neighbor query reads the same buckets
-    assert all(grid.candidates(x, y) == ref.candidates(x, y)
-               for x, y in zip(xs, ys))
-    assert world.active_pairs == ref.scan(xs, ys, world.params.collision_radius,
-                                          -1.0)[0]
-
-
 # The gate. _Index.source serves the cache from exactly half stopped, the
-# list up to exactly 4 * max |speed| == skin and up to `cap` agents of the
-# world it serves, and the grid pass past either bound.
+# list up to exactly max |speed| == reach / 2 (a list lasts two ticks) and
+# up to `cap` agents of the world it serves, and the grid pass past either
+# bound, in both scenarios.
 
 def test_source_takes_each_bound_inclusively():
-    # reach 1, skin 2, span 3: a 9 pi x 32 m world caps the list at 64 agents
-    index = engine._Index(SimParams(world_width=9 * math.pi, world_height=32.0))
-    assert (index.skin, index.cap) == (2.0, 64.0)
-    q = index.skin / 4.0  # the fastest flock a list serves
-    above = math.nextafter(q, math.inf)
-    assert index.source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
-    assert index.source([0.0, q, q, q]) == "list"  # 4 * top == skin
-    assert index.source([above, q, q, q]) == "grid"
-    # a negative speed moves an agent back: it counts by its size
-    assert index.source([-above, q, q, q]) == "grid"
-    assert index.source([-q, q, q, q]) == "list"
-    assert index.source([q] * 64) == "list"
-    assert index.source([q] * 65) == "grid"
+    # reach 1. Social: skin 2, span 3, and a 9 pi x 32 m world caps the list
+    # at 64 agents; a random walker moves twice a tick: skin 4, span 5
+    for scenario, width, skin in ((Scenario.ALL_SOCIAL_AVS, 9 * math.pi, 2.0),
+                                  (Scenario.RANDOM_WALK, 25 * math.pi, 4.0)):
+        index = engine._Index(SimParams(scenario=scenario, world_width=width,
+                                        world_height=32.0))
+        assert (index.skin, index.wide.cell_size, index.cap) == (skin, skin + 1, 64.0)
+        q = 0.5  # the fastest flock a list serves
+        above = math.nextafter(q, math.inf)
+        assert index.source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
+        assert index.source([0.0, q, q, q]) == "list"
+        assert index.source([above, q, q, q]) == "grid"
+        # a negative speed moves an agent back: it counts by its size
+        assert index.source([-above, q, q, q]) == "grid"
+        assert index.source([-q, q, q, q]) == "list"
+        assert index.source([q] * 64) == "list"
+        assert index.source([q] * 65) == "grid"
 
 
 def test_source_drops_the_state_of_the_others():
@@ -440,7 +421,7 @@ def test_list_density_bound_counts_the_world(monkeypatch, agents, per_team,
     assert seen[source] == 3
 
 
-# The stopped-agent cache. On social ticks where at least half the flock is
+# The stopped-agent cache. On ticks where at least half the flock is
 # stopped, `tick` measures only the pairs with a mover in them and takes
 # the rest from StaticCache.
 
@@ -515,14 +496,14 @@ def test_static_cache_tiny_grid(monkeypatch):
     assert seen["thaw"] > 0 and seen["nearest_thaws_across_cells"] > 0
 
 
-# The neighbor list. On social ticks below half stopped, while the flock is
+# The neighbor list. On ticks below half stopped, while the flock is
 # slow and sparse, `tick` measures a list of the pairs that were closer than
 # reach + skin when it was built, and rebuilds the list only when the flock
 # could have closed the skin.
 
 def _slow_flock(seed: int, **changes) -> WorldState:
-    # sparse enough for the list's density bound (0.63) and, at 0.5 m a
-    # tick, slow enough for its speed bound (4 x 0.5 <= skin 2)
+    # sparse enough for the social list's density bound (0.63) and, at
+    # 0.5 m a tick, slow enough for its speed bound (reach / 2)
     params = dict(n_red=20, n_black=20, world_width=30.0, world_height=30.0,
                   min_velocity=0.3, max_velocity=0.5, deceleration=0.1,
                   max_acceleration=0.3)
@@ -628,6 +609,8 @@ def _edit(world: WorldState, edit: str) -> None:
         next(b for b in agents if b.speed != 0.0 and b is not a).speed = 0.0
     elif edit == "stop_at_edge":
         a.speed, a.x = 0.0, math.nextafter(w, 0.0)
+    elif edit == "stop_at_top":  # y alone changes
+        a.speed, a.y = 0.0, math.nextafter(h, 0.0)
     else:
         copies = [dataclasses.replace(b) for b in agents]
         copies[a.id].x, copies[a.id].y, copies[far.id].x, copies[far.id].y = (
@@ -647,8 +630,6 @@ def _follows_caller_edits(monkeypatch, source, make, ticks: int, edit: str):
         tick(fused)
         oracle_tick(ref)
         assert _state(fused) == _state(ref), (source, edit, t)
-        if source == "random":
-            _audit_random_grid(fused)
         served = {"cache": audit.sources[-1:] == ["cache"],
                   "list": audit.seen["built"] > built, "random": True}[source]
         if served and t < ticks - 5 and (not edits or t >= edits[-1] + 5):
@@ -659,7 +640,7 @@ def _follows_caller_edits(monkeypatch, source, make, ticks: int, edit: str):
     return fused
 
 
-EDITS = ("move", "speed", "stop_at_edge", "replace_agents")
+EDITS = ("move", "speed", "stop_at_edge", "stop_at_top", "replace_agents")
 
 
 @pytest.mark.parametrize("edit", [pytest.param("move", id="move_stopped"),
@@ -670,7 +651,10 @@ def test_static_cache_follows_caller_edits(monkeypatch, edit):
 
 @pytest.mark.parametrize("edit", EDITS)
 def test_list_follows_caller_edits(monkeypatch, edit):
-    _follows_caller_edits(monkeypatch, "list", lambda: _slow_flock(0), 60, edit)
+    # 10 + 10 random walkers lie within their list's density bound (22.9)
+    for changes in ({}, dict(scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10)):
+        _follows_caller_edits(monkeypatch, "list", lambda: _slow_flock(0, **changes),
+                              60, edit)
 
 
 @pytest.mark.parametrize("edit", EDITS)

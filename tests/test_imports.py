@@ -1,5 +1,5 @@
 """Start-up cost: the process pool, statistics and INI parser stacks load
-only on the paths that use them.
+only on the paths that use them, and the test-only hypothesis on none.
 
 Each case runs in a fresh interpreter, because pytest and the other tests
 may already have imported these modules into this one.
@@ -15,7 +15,8 @@ import pytest
 
 import avflock
 
-DEFERRED = ("concurrent.futures", "multiprocessing", "statistics", "configparser")
+DEFERRED = ("concurrent.futures", "multiprocessing", "statistics", "configparser",
+            "hypothesis")
 
 _SCRIPT = """
 import json, sys
