@@ -6,7 +6,8 @@ in id order, actions are applied in id order, then collisions are detected
 on the post-move positions. The random-walk scenario interleaves its two
 moves per agent as the baseline procedure dictates; its behavior reads no
 neighbor state, so per-agent application is snapshot-equivalent.
-Tick phases: _social_pass, _decide, _tally (random walk: _random_pass, _tally).
+Tick phases: snapshot, _Index.source, _Index.hold, _social_move or
+_random_move, _Index.pairs, _decide (social only), _tally.
 
 Behavior and collision detection read the same post-move positions, so a
 tick makes one pass over unordered agent pairs (SpatialGrid.scan), each
@@ -17,8 +18,11 @@ agent within sonar range is a threat exactly when it lies within that cut.
 That pair rule lives in `_measure` alone; every pass only builds its
 partner lists.
 
-Both scenarios' passes move their agents, then take the tick's pairs from
-one pair step, _Index.pairs, out of the source _Index.source picks:
+`tick` takes one snapshot of the agents' speeds and positions; the move
+kernel writes the new positions into it as well as into the agents, and
+the grid, the cache, the list and `_measure` all read that one snapshot.
+Both scenarios take the tick's pairs from one pair step, _Index.pairs, out
+of the source _Index.source picks:
 - at least half stopped, StaticCache. An agent with speed 0 does not move,
   so its distances to other stopped agents repeat bit for bit, and stopped
   social agents pile into clusters. The cache keeps the stopped agents'
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 # social_step, random_walk_step and displace are the per-agent reference
 # that `tick` reproduces; they are not called here, but the benchmark's
@@ -83,23 +88,25 @@ class SpatialGrid:
         # scales below finite; fewer, wider cells answer the same queries
         self.nx = max(1, int(min(width / cell_size, _MAX_CELLS, width * _MAX_CELLS)))
         self.ny = max(1, int(min(height / cell_size, _MAX_CELLS, height * _MAX_CELLS)))
-        self._sx = self.nx / width
-        self._sy = self.ny / height
+        # nx / width is inf for a single cell on a world narrower than
+        # about 5.6e-309 m, and 0.0 * inf is nan; scale 0 keys all to cell 0
+        self._sx = self.nx / width if self.nx > 1 else 0.0
+        self._sy = self.ny / height if self.ny > 1 else 0.0
         self.buckets: dict[int, list[int]] = {}
         self._rings: dict[int, tuple[int, ...]] = {}
         # the larger keys of each wrapping ring `_partners` has read:
         # slicing them out of the ring on every tick costs more
         self._edges: dict[int, tuple[int, ...]] = {}
 
-    def rebuild(self, agents: list[AgentState]) -> None:
-        """Re-bucket every agent by its wrapped position."""
+    def rebuild(self, xs: list[float], ys: list[float]) -> None:
+        """Re-bucket every agent by its wrapped position (xs[i], ys[i])."""
         buckets = self.buckets
         buckets.clear()
         nx, ny = self.nx, self.ny
         sx, sy = self._sx, self._sy
-        for a in agents:
-            cx = int(a.x * sx)
-            cy = int(a.y * sy)
+        for i in range(len(xs)):
+            cx = int(xs[i] * sx)
+            cy = int(ys[i] * sy)
             if cx >= nx:  # canonical x < width, but the product can round up
                 cx = nx - 1
             if cy >= ny:
@@ -107,9 +114,9 @@ class SpatialGrid:
             key = cx * ny + cy
             b = buckets.get(key)
             if b is None:
-                buckets[key] = [a.id]
+                buckets[key] = [i]
             else:
-                b.append(a.id)
+                b.append(i)
 
     def key(self, x: float, y: float) -> int:
         """The bucket key of the cell holding the wrapped position (x, y)."""
@@ -531,28 +538,28 @@ class _Index:
         if xs != self.xs or ys != self.ys:
             self.frozen = self.listed = None
 
-    def pairs(self, source: str, agents: list[AgentState], xs: list[float],
-              ys: list[float], speeds: list[float], moved: list[int] | None
+    def pairs(self, source: str, xs: list[float], ys: list[float],
+              speeds: list[float], moved: list[int]
               ) -> tuple[set[tuple[int, int]], list[int]]:
         """SpatialGrid.scan's pairs and nearest ids from `source`, at the
         agents' new positions `xs`/`ys`; `speeds` are those the tick started
-        with and `moved` (the cache's) the agents with a nonzero one."""
+        with and `moved` the agents with a nonzero one."""
         radius, cut = self.params.collision_radius, self.cut
         if source == "grid":
-            self.grid.rebuild(agents)
+            self.grid.rebuild(xs, ys)
             return self.grid.scan(xs, ys, radius, cut)
         self.xs = xs
         self.ys = ys
         if source == "cache":
             if self.frozen is None:
-                self.grid.rebuild(agents)
+                self.grid.rebuild(xs, ys)
                 self.frozen = StaticCache(self.grid, xs, ys)
             return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
         if self.listed is not None and self.slack >= self.step:
             self.slack -= self.step
         else:
             # the pairs closer than reach + skin, listed by their lower id
-            self.wide.rebuild(agents)
+            self.wide.rebuild(xs, ys)
             partners: dict[int, list[int]] = {}
             for i, j in self.wide.scan(xs, ys, self.wide.cell_size, -1.0)[0]:
                 partners.setdefault(i, []).append(j)
@@ -583,41 +590,35 @@ def tick(world: WorldState) -> WorldState:
         index = world.index = _Index(p)
     agents = world.agents
     speeds = [a.speed for a in agents]
-    if p.scenario is Scenario.ALL_SOCIAL_AVS:
-        now, near = _social_pass(agents, speeds, index, p)
+    xs = [a.x for a in agents]
+    ys = [a.y for a in agents]
+    source = index.source(speeds)
+    if source != "grid":
+        index.hold(xs, ys)
+    # the agents with a nonzero speed: 0.0 and -0.0 are false, nan true
+    moved = list(compress(range(len(agents)), speeds))
+    social = p.scenario is Scenario.ALL_SOCIAL_AVS
+    if social:
+        _social_move(agents, speeds, moved, xs, ys, index.trig, p)
+    else:
+        _random_move(agents, speeds, xs, ys, index.trig, p, world.rng)
+    now, near = index.pairs(source, xs, ys, speeds, moved)
+    if social:
         world.last_actions = _decide(agents, speeds, near, p)
     else:
-        now = _random_pass(world, speeds, index)
         world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
     world.collisions_per_tick.append(_tally(world, now))
     world.tick += 1
     return world
 
 
-def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
-                 p: SimParams) -> tuple[set[tuple[int, int]], list[int]]:
-    """Move every social agent, then return the colliding pairs and each
-    agent's nearest neighbor within the cut, as SpatialGrid.scan does."""
+def _social_move(agents: list[AgentState], speeds: list[float],
+                 moved: list[int], xs: list[float], ys: list[float],
+                 trig: dict, p: SimParams) -> None:
+    """Move each agent in `moved` (those with a nonzero speed) to its new
+    position, in the agents and in `xs`/`ys`; equal to displace(x, y,
+    heading, speed, w, h)."""
     w, h = p.world_width, p.world_height
-    trig = index.trig
-    source = index.source(speeds)
-    if source == "grid":
-        # move; equal to displace(x, y, heading, speed, w, h)
-        for a in agents:
-            sp = a.speed
-            if sp != 0.0:
-                sc = trig.get(a.heading) or _sincos(trig, a.heading)
-                x = (a.x + sp * sc[0]) % w
-                y = (a.y + sp * sc[1]) % h
-                a.x = 0.0 if x >= w else x
-                a.y = 0.0 if y >= h else y
-        return index.pairs(source, agents, [a.x for a in agents],
-                           [a.y for a in agents], speeds, None)
-    xs = [a.x for a in agents]
-    ys = [a.y for a in agents]
-    index.hold(xs, ys)
-    # the same move, over the movers only
-    moved = [i for i, sp in enumerate(speeds) if sp != 0.0]
     for i in moved:
         a = agents[i]
         sc = trig.get(a.heading) or _sincos(trig, a.heading)
@@ -626,7 +627,6 @@ def _social_pass(agents: list[AgentState], speeds: list[float], index: _Index,
         y = (ys[i] + sp * sc[1]) % h
         a.x = xs[i] = 0.0 if x >= w else x
         a.y = ys[i] = 0.0 if y >= h else y
-    return index.pairs(source, agents, xs, ys, speeds, moved)
 
 
 def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
@@ -657,26 +657,17 @@ def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
     return kinds
 
 
-def _random_pass(world: WorldState, speeds: list[float],
-                 index: _Index) -> set[tuple[int, int]]:
+def _random_move(agents: list[AgentState], speeds: list[float],
+                 xs: list[float], ys: list[float], trig: dict, p: SimParams,
+                 rng: random.Random) -> None:
     """Draw, turn and move every agent, equal to random_walk_step plus its two
-    displace calls, then return the colliding pairs."""
-    p = world.params
-    agents = world.agents
-    trig = index.trig
-    source = index.source(speeds)
-    if source != "grid":
-        index.hold([a.x for a in agents], [a.y for a in agents])
-    moved = ([i for i, sp in enumerate(speeds) if sp != 0.0]
-             if source == "cache" else None)
-    getrandbits = world.rng.getrandbits
+    displace calls; the new positions go into the agents and `xs`/`ys`."""
+    getrandbits = rng.getrandbits
     w, h = p.world_width, p.world_height
     maxv, minv = p.max_velocity, p.min_velocity
     acc, decel = p.max_acceleration, p.deceleration
     literal = p.literal_rules
-    xs: list[float] = []
-    ys: list[float] = []
-    for a in agents:
+    for i, a in enumerate(agents):
         # randrange(n) draws getrandbits(n.bit_length()) until it is below n
         h1 = getrandbits(7)
         while h1 >= 89:
@@ -684,7 +675,7 @@ def _random_pass(world: WorldState, speeds: list[float],
         h2 = getrandbits(8)
         while h2 >= 200:
             h2 = getrandbits(8)
-        sp = a.speed
+        sp = speeds[i]
         if a.random_behaviour:
             speed = sp + acc
             if maxv < speed:  # min(sp + acc, maxv)
@@ -693,12 +684,10 @@ def _random_pass(world: WorldState, speeds: list[float],
             speed = sp + decel if literal else sp - decel
             if speed < minv:
                 speed = minv
-        x = a.x
-        y = a.y
         if sp != 0.0:
             sc = trig.get(a.heading) or _sincos(trig, a.heading)
-            x = (x + sp * sc[0]) % w
-            y = (y + sp * sc[1]) % h
+            x = (xs[i] + sp * sc[0]) % w
+            y = (ys[i] + sp * sc[1]) % h
             if x >= w:
                 x = 0.0
             if y >= h:
@@ -711,14 +700,11 @@ def _random_pass(world: WorldState, speeds: list[float],
                 x = 0.0
             if y >= h:
                 y = 0.0
-            a.x = x
-            a.y = y
+            a.x = xs[i] = x
+            a.y = ys[i] = y
         a.heading = float(h2)
         a.speed = speed
         a.random_behaviour = not a.random_behaviour
-        xs.append(x)
-        ys.append(y)
-    return index.pairs(source, agents, xs, ys, speeds, moved)[0]
 
 
 def _trace_rows(world: WorldState, tails: dict) -> str:

@@ -186,7 +186,7 @@ def test_criterion_07_grid_equals_brute_force():
                              y=rng.uniform(0, h), heading=0.0, speed=0.0)
                   for i in range(n)]
         grid = SpatialGrid(w, h, max(sonar, radius))
-        grid.rebuild(agents)
+        grid.rebuild([a.x for a in agents], [a.y for a in agents])
         grid_pairs = set()
         for i, a in enumerate(agents):
             cands = grid.candidates(a.x, a.y)

@@ -55,6 +55,8 @@ class TestRun:
         ["--collision-radius", "1e-320"],  # width / cell_size overflows
         ["--collision-radius", "1e-310", "--world-width", "1e-300",
          "--world-height", "1e-300"],  # 2 ** 30 cells / width overflows
+        ["--world-width", "5e-324"],  # one cell / width overflows
+        ["--world-height", "5e-324", "--scenario", "random"],
     ])
     def test_tiny_collision_radius_runs(self, capsys, argv):
         assert main(["run", "--sonar-range", "0", "--ticks", "2"] + argv) == 0

@@ -3,9 +3,12 @@ and grid/brute-force equivalence."""
 
 import copy
 import dataclasses
+import inspect
 import io
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -345,7 +348,7 @@ class TestSpatialGrid:
     def test_every_agent_in_exactly_one_bucket(self):
         world = setup(TABLE1, seed=9)
         grid = SpatialGrid(100.0, 100.0, 2.5)
-        grid.rebuild(world.agents)
+        grid.rebuild([a.x for a in world.agents], [a.y for a in world.agents])
         ids = [i for bucket in grid.buckets.values() for i in bucket]
         assert sorted(ids) == list(range(80))
 
@@ -361,7 +364,7 @@ class TestSpatialGrid:
                                  y=rng.uniform(0, h), heading=0.0, speed=0.0)
                       for i in range(n)]
             grid = SpatialGrid(w, h, max(sonar, radius))
-            grid.rebuild(agents)
+            grid.rebuild([a.x for a in agents], [a.y for a in agents])
             grid_pairs = set()
             for i, a in enumerate(agents):
                 cands = grid.candidates(a.x, a.y)
@@ -387,7 +390,7 @@ class TestSpatialGrid:
                   for i, (cx, cy) in enumerate(cell_of)]
         grid = SpatialGrid(float(nx), float(ny), 1.0)
         assert (grid.nx, grid.ny) == (nx, ny)
-        grid.rebuild(agents)
+        grid.rebuild([a.x for a in agents], [a.y for a in agents])
         keys = range(nx * ny)
         for key, got in zip(keys, grid.around(keys), strict=True):
             cx, cy = divmod(key, ny)
@@ -410,7 +413,7 @@ class TestSpatialGrid:
                   for i, (cx, cy) in enumerate(cell_of)]
         grid = SpatialGrid(float(nx), float(ny), 1.0)
         assert (grid.nx, grid.ny) == (nx, ny)
-        grid.rebuild(agents)
+        grid.rebuild([a.x for a in agents], [a.y for a in agents])
         listed = sorted((min(i, j), max(i, j))
                         for i, partners in grid._partners() for j in partners)
 
@@ -427,7 +430,23 @@ class TestSpatialGrid:
         assert grid.nx == 2 and grid.ny == 2
         agents = [AgentState(id=i, team=Team.RED, x=x, y=y, heading=0.0, speed=0.0)
                   for i, (x, y) in enumerate([(0.5, 0.5), (3.0, 3.0), (4.9, 0.1)])]
-        grid.rebuild(agents)
+        grid.rebuild([a.x for a in agents], [a.y for a in agents])
         cands = grid.candidates(0.5, 0.5)
         assert sorted(cands) == [0, 1, 2]
         assert len(cands) == len(set(cands))
+
+
+def test_readme_engine_names_resolve():
+    # README names engine code in backticks, `_name`, `SpatialGrid.x`,
+    # `StaticCache.x` or `_Index.x`, some with an `engine.` prefix. A renamed
+    # phase or method must not leave a stale name there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(
+        r"`(?:engine\.)?(_\w+|(?:SpatialGrid|StaticCache|_Index)\.\w+)`", readme))
+    assert {"_partners", "_Index.pairs", "SpatialGrid.move"} <= names
+    classes = [c for _, c in inspect.getmembers(engine, inspect.isclass)
+               if c.__module__ == engine.__name__]
+    for name in sorted(names):
+        owner, _, attr = name.rpartition(".")
+        owners = [getattr(engine, owner)] if owner else [engine, *classes]
+        assert any(hasattr(o, attr) for o in owners), name

@@ -176,7 +176,7 @@ def test_fused_tick_equals_oracle_after_every_tick(monkeypatch, case):
                                  rule, literal)
         before = audit.seen["list"]
         for t in range(40):
-            tick(fused)
+            audit.tick(fused)
             oracle_tick(ref)
             assert _state(fused) == _state(ref), (case, scenario, rule, literal, t)
         listed[scenario] += audit.seen["list"] > before
@@ -221,10 +221,8 @@ def test_fused_pass_equals_brute_force():
             else:
                 xs.append(rng.uniform(0.0, w))
                 ys.append(rng.uniform(0.0, h))
-        agents = [AgentState(id=i, team=Team.RED, x=x, y=y, heading=0.0, speed=0.0)
-                  for i, (x, y) in enumerate(zip(xs, ys))]
         grid = SpatialGrid(w, h, max(cut, radius))
-        grid.rebuild(agents)
+        grid.rebuild(xs, ys)
         assert grid.scan(xs, ys, radius, cut) == _brute_force(xs, ys, w, h, radius, cut)
 
 
@@ -255,13 +253,19 @@ def test_scan_rejects_reach_beyond_cell():
     assert grid.scan([], [], 1.0, math.nextafter(1.0, 0.0)) == (set(), [])
 
 
-# One audit for every pair source of both scenarios. It wraps _Index.pairs,
-# checks each tick against a fresh fine-grid scan of the agents' positions
-# and _brute_force, records the source served, and counts the corner cases
-# the ticks met, so each test can show that it reached them. A later source
-# is audited by the same code.
+# One audit for every pair source of both scenarios. Its `tick` records the
+# world and ticks it; it wraps _Index.pairs, checks that the tick's position
+# snapshot is where the move kernel left the agents, checks each tick against
+# a fresh fine-grid scan of the agents' own positions and _brute_force,
+# records the source served, and counts the corner cases the ticks met, so
+# each test can show that it reached them. A later source is audited by the
+# same code.
 
 class _Audit:
+    # the world an audit's `tick` is ticking; one for all audits, which
+    # wrap each other when a test makes more than one
+    world: WorldState | None = None
+
     def __init__(self, monkeypatch, ties: bool = False):
         # per source, the ticks it served; per corner, the times it was met
         self.seen = collections.Counter()
@@ -269,20 +273,24 @@ class _Audit:
         self.ties = ties
         pair_step = engine._Index.pairs
 
-        def audited(index, source, agents, xs, ys, speeds, moved):
+        def audited(index, source, xs, ys, speeds, moved):
             self.sources.append(source)
             self.seen[source] += 1
             cache, listed, slack = index.frozen, index.listed, index.slack
             # StaticCache.scan edits the cache in place
             before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
                                 cache.cells[:])
-            got = pair_step(index, source, agents, xs, ys, speeds, moved)
+            got = pair_step(index, source, xs, ys, speeds, moved)
+            agents = _Audit.world.agents  # None: ticked without the audit's tick
+            # a kernel that moves an agent must move the snapshot too
+            assert xs == [a.x for a in agents]
+            assert ys == [a.y for a in agents]
             xs = [a.x for a in agents]
             ys = [a.y for a in agents]
             p = index.params
             w, h = p.world_width, p.world_height
             ref = SpatialGrid(w, h, index.grid.cell_size)
-            ref.rebuild(agents)
+            ref.rebuild(xs, ys)
             assert got == ref.scan(xs, ys, p.collision_radius, index.cut)
             # every source and the reference scan share _measure: check it
             # against its own oracle too
@@ -301,6 +309,14 @@ class _Audit:
             return got
 
         monkeypatch.setattr(engine._Index, "pairs", audited)
+
+    def tick(self, world: WorldState) -> None:
+        """Tick `world`, every pair step of it audited."""
+        _Audit.world = world
+        try:
+            tick(world)
+        finally:
+            _Audit.world = None
 
     def _cache(self, cache, before, speeds, xs, ys, cut):
         seen = self.seen
@@ -363,7 +379,7 @@ def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
     audit = _Audit(monkeypatch, ties)
     for world in worlds:
         for _ in range(ticks):
-            tick(world)
+            audit.tick(world)
         audit.sources.append("end")
     return audit.seen, collections.Counter(zip(audit.sources, audit.sources[1:]))
 
@@ -627,7 +643,7 @@ def _follows_caller_edits(monkeypatch, source, make, ticks: int, edit: str):
     edits = []
     for t in range(ticks):
         built = audit.seen["built"]
-        tick(fused)
+        audit.tick(fused)
         oracle_tick(ref)
         assert _state(fused) == _state(ref), (source, edit, t)
         served = {"cache": audit.sources[-1:] == ["cache"],
@@ -735,7 +751,7 @@ def test_list_returning_from_the_cache_is_rebuilt(monkeypatch):
     for t in range(8):
         if t in (1, 5):
             fused.agents[2].speed = ref.agents[2].speed = 0.25 if t == 5 else 0.0
-        tick(fused)
+        audit.tick(fused)
         oracle_tick(ref)
         assert _state(fused) == _state(ref), t
     assert audit.sources == ["list"] + ["cache"] * 4 + ["list"] * 3
