@@ -6,8 +6,8 @@ in id order, actions are applied in id order, then collisions are detected
 on the post-move positions. The random-walk scenario interleaves its two
 moves per agent as the baseline procedure dictates; its behavior reads no
 neighbor state, so per-agent application is snapshot-equivalent.
-Tick phases: snapshot, _Index.source, _Index.hold, _social_move or
-_random_move, _Index.pairs, _decide (social only), _tally.
+Tick phases: snapshot, _Index.source, _social_move or _random_move,
+_Index.pairs, _decide (social only), _tally.
 
 Behavior and collision detection read the same post-move positions, so a
 tick makes one pass over unordered agent pairs (SpatialGrid.scan), each
@@ -200,17 +200,16 @@ class SpatialGrid:
 
     def scan(self, xs: list[float], ys: list[float], radius: float,
              cut: float) -> tuple[set[tuple[int, int]], list[int]]:
-        """One pass over the unordered pairs of the current buckets.
-
-        `xs`/`ys` are the positions the grid was rebuilt from, by agent id.
-        Returns the id pairs (i < j) at torus distance strictly below
-        `radius`, and per agent the id of its nearest other agent at
-        distance at most `cut` (ties to the lowest id), or -1. A negative
-        cut skips the nearest-neighbor search.
+        """Bucket the agents at `xs`/`ys`, by id, and make one pass over
+        their unordered pairs. Returns the id pairs (i < j) at torus
+        distance strictly below `radius`, and per agent the id of its
+        nearest other agent at distance at most `cut` (ties to the lowest
+        id), or -1. A negative cut skips the nearest-neighbor search.
         """
         reach = max(radius, cut)
         if reach > self.cell_size:
             raise ValueError(f"query reach {reach} exceeds cell size {self.cell_size}")
+        self.rebuild(xs, ys)
         n = len(xs)
         pairs: set[tuple[int, int]] = set()
         near = [-1] * n
@@ -303,18 +302,19 @@ def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
 
 class StaticCache:
     """The pairs of the stopped agents, which keep their positions, across
-    ticks: each agent's cell key (the grid's buckets, which `scan` keeps
-    current, hold the agents), the colliding pairs among the static agents
-    (those stopped since they joined) and each static agent's nearest static
-    neighbor within the cut as (d, id). A tick then measures only the pairs
+    ticks: each agent's cell key (the grid's buckets, which the cache fills
+    and `scan` keeps current, hold the agents), the colliding pairs among
+    the static agents (those stopped since they joined) and each static
+    agent's nearest static neighbor within the cut as (d, id). A tick then measures only the pairs
     with a mover in them, and `scan` returns what SpatialGrid.scan returns."""
 
     __slots__ = ("grid", "cells", "static", "n_static", "pairs", "best",
                  "near")
 
     def __init__(self, grid: SpatialGrid, xs: list[float], ys: list[float]):
-        """A cache over `grid`, whose buckets hold the agents at (xs, ys),
-        by id; none is static yet."""
+        """A cache of the agents at (xs, ys), by id, over `grid`, which it
+        buckets there; none is static yet."""
+        grid.rebuild(xs, ys)
         self.grid = grid
         self.cells = [grid.key(x, y) for x, y in zip(xs, ys)]
         n = len(xs)
@@ -474,8 +474,8 @@ class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
     heading, the StaticCache and the neighbor list (each None while `source`
-    picks another pair source), and the positions the last tick either
-    served left (`xs`, `ys`).
+    picks another pair source), and the snapshot of the last tick either
+    served (`xs`, `ys`), which the move kernel moved with the agents.
 
     The list: with reach = max(cut, collision_radius) and `moves` per agent
     per tick (1 social, 2 random walk), skin = 2 * reach * moves and span =
@@ -516,27 +516,32 @@ class _Index:
         self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
 
-    def source(self, speeds: list[float]) -> str:
-        """The pair source of a tick whose agents start it with `speeds`:
-        "cache" at least half stopped, else "list" while the flock is slow
-        and sparse enough, else "grid". Drops the state of the others."""
+    def source(self, speeds: list[float], xs: list[float],
+               ys: list[float]) -> str:
+        """The pair source of a tick whose agents start it with `speeds` at
+        (xs, ys): "cache" at least half stopped, else "list" while the flock
+        is slow and sparse enough, else "grid". Keeps only the state of the
+        source it picks, and only while every agent is where the last tick
+        it served left it: a caller may edit the world."""
         lo = min(speeds, default=0.0)  # no agent stopped while lo > 0
         if lo <= 0.0 and 2 * speeds.count(0.0) >= len(speeds):
             self.listed = None
-            return "cache"
-        self.frozen = None
-        top = max(max(speeds), -lo)  # a negative speed moves back
-        self.step = 2.0 * self.moves * (top + self.ulp)
-        if 4.0 * self.moves * top <= self.skin and len(speeds) <= self.cap:
-            return "list"
-        self.listed = None
-        return "grid"
-
-    def hold(self, xs: list[float], ys: list[float]) -> None:
-        """Drop the cache and the list unless every agent is at (xs, ys), where
-        the last tick they served left it: a caller may edit the world."""
+            source = "cache"
+        else:
+            self.frozen = None
+            top = max(max(speeds), -lo)  # a negative speed moves back
+            self.step = 2.0 * self.moves * (top + self.ulp)
+            if 4.0 * self.moves * top <= self.skin and len(speeds) <= self.cap:
+                source = "list"
+            else:
+                self.listed = None
+                return "grid"
         if xs != self.xs or ys != self.ys:
             self.frozen = self.listed = None
+        # the move kernel moves these with the agents
+        self.xs = xs
+        self.ys = ys
+        return source
 
     def pairs(self, source: str, xs: list[float], ys: list[float],
               speeds: list[float], moved: list[int]
@@ -546,20 +551,15 @@ class _Index:
         with and `moved` the agents with a nonzero one."""
         radius, cut = self.params.collision_radius, self.cut
         if source == "grid":
-            self.grid.rebuild(xs, ys)
             return self.grid.scan(xs, ys, radius, cut)
-        self.xs = xs
-        self.ys = ys
         if source == "cache":
             if self.frozen is None:
-                self.grid.rebuild(xs, ys)
                 self.frozen = StaticCache(self.grid, xs, ys)
             return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
         if self.listed is not None and self.slack >= self.step:
             self.slack -= self.step
         else:
             # the pairs closer than reach + skin, listed by their lower id
-            self.wide.rebuild(xs, ys)
             partners: dict[int, list[int]] = {}
             for i, j in self.wide.scan(xs, ys, self.wide.cell_size, -1.0)[0]:
                 partners.setdefault(i, []).append(j)
@@ -592,9 +592,7 @@ def tick(world: WorldState) -> WorldState:
     speeds = [a.speed for a in agents]
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
-    source = index.source(speeds)
-    if source != "grid":
-        index.hold(xs, ys)
+    source = index.source(speeds, xs, ys)
     # the agents with a nonzero speed: 0.0 and -0.0 are false, nan true
     moved = list(compress(range(len(agents)), speeds))
     social = p.scenario is Scenario.ALL_SOCIAL_AVS

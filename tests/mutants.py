@@ -1,0 +1,159 @@
+"""A table of hand-made mutants of `src/` and a runner that re-runs them.
+
+Each mutant replaces one exact snippet of a source file, which must occur
+there exactly once, and names the test node ids expected to kill it. A
+mutant that is expected to live carries a note that starts "survives:"
+(no test kills it, and why that is accepted) or "equivalent:" (no
+program behaves differently, and why).
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # only these
+
+The runner copies `src/`, `tests/`, `pyproject.toml` and `README.md` to a
+temporary directory, checks that every node id named in the table passes
+there unmutated, then applies each mutant in turn to a fresh copy and
+runs only its node ids. It prints one line per mutant and exits 1 when a
+mutant expected to die survives, when one noted as living is killed, or
+when a run errs. It is not part of the tier-1 suite;
+`tests/test_mutants.py` checks there that the table still matches `src/`.
+A change that adds mutants adds them here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FUSED = "tests/test_fused.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # occurs exactly once in `file`
+    replacement: str
+    killers: tuple[str, ...]  # test node ids, relative to the root
+    note: str = ""  # "survives: ..." or "equivalent: ...", with the reason
+
+
+MUTANTS = (
+    Mutant(
+        "scan_without_rebuild", "src/avflock/engine.py",
+        "        self.rebuild(xs, ys)\n", "",
+        (FUSED + "test_scan_buckets_the_positions_it_is_given",
+         FUSED + "test_fused_pass_equals_brute_force")),
+    Mutant(
+        "static_cache_without_rebuild", "src/avflock/engine.py",
+        "        grid.rebuild(xs, ys)\n", "",
+        (FUSED + "test_static_cache_buckets_its_own_grid",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
+    Mutant(
+        "source_compares_x_only", "src/avflock/engine.py",
+        "        if xs != self.xs or ys != self.ys:\n",
+        "        if xs != self.xs:\n",
+        (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
+         FUSED + "test_static_cache_follows_caller_edits[stop_at_top]")),
+    Mutant(
+        "source_keeps_a_moved_list", "src/avflock/engine.py",
+        "            self.frozen = self.listed = None\n",
+        "            self.frozen = None\n",
+        (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
+         FUSED + "test_list_follows_caller_edits[move]")),
+    Mutant(
+        "random_move_skips_snapshot_y", "src/avflock/engine.py",
+        "            a.y = ys[i] = y\n", "            a.y = y\n",
+        (FUSED + "test_fused_tick_equals_oracle_after_every_tick[plain]",)),
+    Mutant(
+        "social_move_skips_snapshot_x", "src/avflock/engine.py",
+        "        a.x = xs[i] = 0.0 if x >= w else x\n",
+        "        a.x = 0.0 if x >= w else x\n",
+        (FUSED + "test_fused_tick_equals_oracle_after_every_tick[plain]",)),
+    Mutant(
+        "far_without_rounding_factor", "src/avflock/engine.py",
+        "    far = max(radius, cut) * (1.0 + 1e-9)\n",
+        "    far = max(radius, cut)\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_list_exact_ties",
+         FUSED + "test_static_cache_exact_ties_and_cut"),
+        "equivalent: hypot is faithfully rounded, so it is never below "
+        "max(dx, dy), and a pair with dx or dy beyond max(radius, cut) is "
+        "outside both anyway"),
+    Mutant(
+        "around_interior_strict_lower_bound", "src/avflock/engine.py",
+        "            # no key passes on a grid with fewer than 3 cells on an axis\n"
+        "            if ny <= key < last_x and 0 < key % ny < last_y:\n",
+        "            # no key passes on a grid with fewer than 3 cells on an axis\n"
+        "            if ny < key < last_x and 0 < key % ny < last_y:\n",
+        ("tests/test_engine.py::TestSpatialGrid::test_around_lists_each_wrapped_block_once",
+         FUSED + "test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis"),
+        "equivalent: key == ny is row 0 of column 1, and key % ny == 0 "
+        "already fails the row test"),
+)
+
+
+def _copy(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def _pytest(where: Path, ids) -> int:
+    env = dict(os.environ, PYTHONPATH=str(where / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *ids], cwd=where, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def _outcome(m: Mutant) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        _copy(where)
+        path = where / m.file
+        text = path.read_text()
+        if text.count(m.snippet) != 1:
+            return "error: snippet does not occur exactly once"
+        path.write_text(text.replace(m.snippet, m.replacement))
+        code = _pytest(where, m.killers)
+    # pytest exits 1 when a test failed, 0 when all passed
+    return {0: "survived", 1: "killed"}.get(code, f"error: pytest exit {code}")
+
+
+def main(argv: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(Path(tmp))
+        ids = sorted({i for m in mutants for i in m.killers})
+        if _pytest(Path(tmp), ids) != 0:
+            print("the named tests do not all pass unmutated")
+            return 1
+    bad, survivors = 0, []
+    for m in mutants:
+        outcome = _outcome(m)
+        ok = outcome == ("survived" if m.note else "killed")
+        bad += not ok
+        if outcome == "survived":
+            survivors.append(m.name)
+        print(f"{'ok ' if ok else 'BAD'} {m.name}: {outcome}"
+              + (f" ({m.note.partition(':')[0]})" if m.note else ""))
+    print(f"{len(mutants)} mutants, {bad} unexpected; survivors: "
+          f"{', '.join(survivors) or 'none'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

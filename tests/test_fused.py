@@ -222,7 +222,6 @@ def test_fused_pass_equals_brute_force():
                 xs.append(rng.uniform(0.0, w))
                 ys.append(rng.uniform(0.0, h))
         grid = SpatialGrid(w, h, max(cut, radius))
-        grid.rebuild(xs, ys)
         assert grid.scan(xs, ys, radius, cut) == _brute_force(xs, ys, w, h, radius, cut)
 
 
@@ -246,6 +245,51 @@ def _brute_force(xs, ys, w, h, radius, cut):
     return pairs, [j for _, j in nearest]
 
 
+def test_scan_buckets_the_positions_it_is_given():
+    # a grid last bucketed elsewhere, or never, answers for these positions
+    grid = SpatialGrid(10.0, 10.0, 1.0)
+    assert grid.scan([1.0, 1.2], [1.0, 1.0], 1.0, 1.0) == ({(0, 1)}, [1, 0])
+    grid.rebuild([1.0, 5.0], [1.0, 5.0])
+    assert grid.scan([1.0, 1.2], [1.0, 1.0], 1.0, 1.0) == ({(0, 1)}, [1, 0])
+    rng = random.Random(11)
+    for _ in range(200):
+        w, h = rng.uniform(1.0, 30.0), rng.uniform(1.0, 30.0)
+        radius, cut = rng.uniform(0.05, 3.0), rng.choice((-1.0, rng.uniform(0.0, 3.0)))
+        grid = SpatialGrid(w, h, max(radius, cut))
+        for _ in range(3):  # more, fewer or as many agents as the last scan
+            n = rng.randrange(1, 40)
+            xs = [rng.uniform(0.0, w) for _ in range(n)]
+            ys = [rng.uniform(0.0, h) for _ in range(n)]
+            assert (grid.scan(xs, ys, radius, cut)
+                    == _brute_force(xs, ys, w, h, radius, cut))
+
+
+def test_static_cache_buckets_its_own_grid():
+    # a cache made on a grid bucketed at other positions, or never, serves
+    # what a fresh scan serves, tick after tick
+    rng = random.Random(12)
+    for world in range(100):
+        w, h = rng.uniform(2.0, 20.0), rng.uniform(2.0, 20.0)
+        radius, cut = rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0)
+        n = rng.randrange(2, 40)
+        xs = [rng.uniform(0.0, w) for _ in range(n)]
+        ys = [rng.uniform(0.0, h) for _ in range(n)]
+        grid = SpatialGrid(w, h, max(radius, cut))
+        if world % 2:
+            grid.rebuild([rng.uniform(0.0, w) for _ in range(n + 5)],
+                         [rng.uniform(0.0, h) for _ in range(n + 5)])
+        cache = engine.StaticCache(grid, xs, ys)
+        speeds = [rng.choice((0.0, 0.0, 0.5)) for _ in range(n)]
+        for _ in range(5):
+            moved = [i for i, sp in enumerate(speeds) if sp]
+            got = cache.scan(speeds, moved, xs, ys, radius, cut)
+            fresh = SpatialGrid(w, h, grid.cell_size).scan(xs, ys, radius, cut)
+            assert got == fresh == _brute_force(xs, ys, w, h, radius, cut)
+            for i in moved:
+                xs[i] = (xs[i] + rng.uniform(-0.5, 0.5)) % w
+                ys[i] = (ys[i] + rng.uniform(-0.5, 0.5)) % h
+
+
 def test_scan_rejects_reach_beyond_cell():
     grid = SpatialGrid(10.0, 10.0, 1.0)
     with pytest.raises(ValueError, match="cell size"):
@@ -262,16 +306,15 @@ def test_scan_rejects_reach_beyond_cell():
 # same code.
 
 class _Audit:
-    # the world an audit's `tick` is ticking; one for all audits, which
-    # wrap each other when a test makes more than one
-    world: WorldState | None = None
-
     def __init__(self, monkeypatch, ties: bool = False):
         # per source, the ticks it served; per corner, the times it was met
         self.seen = collections.Counter()
         self.sources: list[str] = []  # per tick, "end" between worlds
         self.ties = ties
+        self.world: WorldState | None = None  # the world `tick` is ticking
         pair_step = engine._Index.pairs
+        # a second audit would wrap the first and audit each tick twice
+        assert pair_step.__qualname__ == "_Index.pairs", "already audited"
 
         def audited(index, source, xs, ys, speeds, moved):
             self.sources.append(source)
@@ -281,7 +324,7 @@ class _Audit:
             before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
                                 cache.cells[:])
             got = pair_step(index, source, xs, ys, speeds, moved)
-            agents = _Audit.world.agents  # None: ticked without the audit's tick
+            agents = self.world.agents  # None: ticked without the audit's tick
             # a kernel that moves an agent must move the snapshot too
             assert xs == [a.x for a in agents]
             assert ys == [a.y for a in agents]
@@ -290,7 +333,6 @@ class _Audit:
             p = index.params
             w, h = p.world_width, p.world_height
             ref = SpatialGrid(w, h, index.grid.cell_size)
-            ref.rebuild(xs, ys)
             assert got == ref.scan(xs, ys, p.collision_radius, index.cut)
             # every source and the reference scan share _measure: check it
             # against its own oracle too
@@ -312,11 +354,11 @@ class _Audit:
 
     def tick(self, world: WorldState) -> None:
         """Tick `world`, every pair step of it audited."""
-        _Audit.world = world
+        self.world = world
         try:
             tick(world)
         finally:
-            _Audit.world = None
+            self.world = None
 
     def _cache(self, cache, before, speeds, xs, ys, cut):
         seen = self.seen
@@ -360,7 +402,7 @@ class _Audit:
             assert slack >= step  # a list serves while its slack covers a tick
             # (a) a list serving a tick it was already charged for
             seen["served_again"] += slack < index.skin * (1.0 - 1e-9)
-        elif listed is not None:  # _Index.hold drops a list the caller moved
+        elif listed is not None:  # _Index.source drops a list the caller moved
             # (b) a list rebuilt only because its slack ran out
             assert slack < step
             seen["slack_rebuild"] += 1
@@ -399,27 +441,74 @@ def test_source_takes_each_bound_inclusively():
         assert (index.skin, index.wide.cell_size, index.cap) == (skin, skin + 1, 64.0)
         q = 0.5  # the fastest flock a list serves
         above = math.nextafter(q, math.inf)
-        assert index.source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
-        assert index.source([0.0, q, q, q]) == "list"
-        assert index.source([above, q, q, q]) == "grid"
+
+        def source(speeds):
+            return index.source(speeds, [0.0] * len(speeds), [0.0] * len(speeds))
+
+        assert source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
+        assert source([0.0, q, q, q]) == "list"
+        assert source([above, q, q, q]) == "grid"
         # a negative speed moves an agent back: it counts by its size
-        assert index.source([-above, q, q, q]) == "grid"
-        assert index.source([-q, q, q, q]) == "list"
-        assert index.source([q] * 64) == "list"
-        assert index.source([q] * 65) == "grid"
+        assert source([-above, q, q, q]) == "grid"
+        assert source([-q, q, q, q]) == "list"
+        assert source([q] * 64) == "list"
+        assert source([q] * 65) == "grid"
+
+
+class _Compared(list):
+    """A position list that counts the comparisons made with it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.count = 0
+
+    def __ne__(self, other):
+        self.count += 1
+        return list.__ne__(self, other)
+
+    __eq__ = None  # a source that compared with == would fail here
 
 
 def test_source_drops_the_state_of_the_others():
     index = engine._Index(SimParams())
+    xs, ys = [1.0, 2.0], [3.0, 4.0]
+    assert index.source([0.0, 0.3], xs, ys) == "cache"  # where the agents are
     held = index.frozen = index.listed = object()
-    assert index.source([0.0, 0.3]) == "cache"
+    assert index.source([0.0, 0.3], xs[:], ys[:]) == "cache"
     assert (index.frozen, index.listed) == (held, None)
     index.listed = held
-    assert index.source([0.3, 0.3]) == "list"
+    assert index.source([0.3, 0.3], xs[:], ys[:]) == "list"
     assert (index.frozen, index.listed) == (None, held)
     index.frozen = held
-    assert index.source([9.0, 0.3]) == "grid"
+    # a grid tick drops both, so that no state outlives it, without
+    # comparing the positions
+    now = _Compared(xs), _Compared(ys)
+    assert index.source([9.0, 0.3], *now) == "grid"
     assert (index.frozen, index.listed) == (None, None)
+    assert [v.count for v in now] == [0, 0]
+
+
+@pytest.mark.parametrize("speeds, source, state", [
+    ([0.0, 0.0, 0.3], "cache", "frozen"), ([0.3, 0.3, 0.3], "list", "listed")])
+@pytest.mark.parametrize("edit", [None, "x", "y"])
+def test_source_holds_state_only_where_the_last_tick_left_the_agents(
+        speeds, source, state, edit):
+    index = engine._Index(SimParams())
+    xs, ys = [1.0, 2.0, 5.0], [3.0, 4.0, 5.0]
+    assert index.source(speeds, xs, ys) == source
+    held = object()
+    setattr(index, state, held)
+    # the move kernel moves the snapshot the tick took, in place
+    xs[2] += 0.3
+    ys[2] -= 0.3
+    now = _Compared(xs), _Compared(ys)
+    if edit == "x":  # a caller moved one agent along x
+        now[0][0] = math.nextafter(xs[0], 0.0)
+    elif edit == "y":  # or another along y alone
+        now[1][1] = math.nextafter(ys[1], math.inf)
+    assert index.source(speeds, *now) == source
+    assert getattr(index, state) is (held if edit is None else None)
+    assert max(v.count for v in now) <= 1  # each axis compared at most once
 
 
 @pytest.mark.parametrize("agents, per_team, source", [(20, 40, "list"),
@@ -634,12 +723,12 @@ def _edit(world: WorldState, edit: str) -> None:
         world.agents = copies
 
 
-def _follows_caller_edits(monkeypatch, source, make, ticks: int, edit: str):
-    """Tick a world from `make` and its oracle copy for `ticks`, editing
-    both, at least 5 ticks apart, right after a tick `source` served (a
-    list: built), which would otherwise serve the next tick too."""
+def _follows_caller_edits(audit, source, make, ticks: int, edit: str):
+    """Tick a world from `make` through `audit` and its oracle copy for
+    `ticks`, editing both, at least 5 ticks apart, right after a tick
+    `source` served (a list: built), which would otherwise serve the next
+    tick too."""
     fused, ref = make(), make()
-    audit = _Audit(monkeypatch)
     edits = []
     for t in range(ticks):
         built = audit.seen["built"]
@@ -662,22 +751,24 @@ EDITS = ("move", "speed", "stop_at_edge", "stop_at_top", "replace_agents")
 @pytest.mark.parametrize("edit", [pytest.param("move", id="move_stopped"),
                                   *EDITS[1:]])
 def test_static_cache_follows_caller_edits(monkeypatch, edit):
-    _follows_caller_edits(monkeypatch, "cache", lambda: _flock(0), 160, edit)
+    _follows_caller_edits(_Audit(monkeypatch), "cache", lambda: _flock(0), 160,
+                          edit)
 
 
 @pytest.mark.parametrize("edit", EDITS)
 def test_list_follows_caller_edits(monkeypatch, edit):
     # 10 + 10 random walkers lie within their list's density bound (22.9)
+    audit = _Audit(monkeypatch)
     for changes in ({}, dict(scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10)):
-        _follows_caller_edits(monkeypatch, "list", lambda: _slow_flock(0, **changes),
-                              60, edit)
+        _follows_caller_edits(audit, "list", lambda: _slow_flock(0, **changes), 60,
+                              edit)
 
 
 @pytest.mark.parametrize("edit", EDITS)
 @pytest.mark.parametrize("width", [15.96, 1.95])
 def test_random_walk_buckets_follow_caller_edits(monkeypatch, width, edit):
     # a 1.95 m wide world has 1 cell along x
-    fused = _follows_caller_edits(monkeypatch, "random", lambda: _flock(
+    fused = _follows_caller_edits(_Audit(monkeypatch), "random", lambda: _flock(
         0, scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10,
         world_width=width, sonar_range=0.5), 40, edit)
     # x * (nx / width) rounds up to nx here: the key must clamp it
