@@ -481,19 +481,33 @@ class _Index:
     per tick (1 social, 2 random walk), skin = 2 * reach * moves and span =
     reach + skin. `listed` holds the (i, partners) lists of the pairs closer
     than `span` when it was built, from a second grid (`wide`) with cell
-    `span`. No pair closes by more than `step` = 2 * moves * (top + ulp) a
-    tick, `top` the largest |speed| and `ulp` a per-move rounding allowance;
-    `slack` is what the list can still absorb. A pair missing from the list
+    `span`. `step` is the most a pair can close in this tick's move(s), and
+    `slack` what the list can still absorb. A pair missing from the list
     was at least `span` apart and has closed by less than `skin`: it is
-    still beyond `reach`. The list serves only while it lasts two ticks
-    (2 * step <= skin without the allowance: top <= reach / 2) and the
-    world's n agents, spread evenly, would list at most about one pair each
-    (n <= `cap` = 2wh / (pi span^2)); past either bound the grid costs less.
+    still beyond `reach`. `lo` and `top` are this tick's least speed and
+    largest |speed|, and `ulp` a per-move rounding allowance.
+
+    A social tick moves each mover once, by its speed along its heading,
+    and the trig memo then holds every mover's heading. With `arc` the
+    narrowest arc covering the memo's headings, capped at 180 degrees, two
+    displacements at speeds s, s' in [lo, top] differ by at most
+    |s u - s' v| for unit u, v `arc` apart; that is convex in (s, s'), so
+    a corner of the box bounds it: step = max(chord * top,
+    hypot(top - lo, chord * sqrt(lo * top))), chord = 2 sin(arc / 2), plus
+    a 1e-9 share of top for the rounding of the directions and of the bound
+    itself, plus 2 * ulp. A stopped agent is covered by lo = 0. A negative
+    lo and every random-walk tick (two moves on headings that span at least
+    180 degrees) take step = 2 * moves * (top + ulp).
+
+    The list serves only while it lasts two ticks at that fallback charge
+    (4 * moves * top <= skin: top <= reach / 2) and the world's n agents,
+    spread evenly, would list at most about one pair each (n <= `cap` =
+    2wh / (pi span^2)); past either bound the grid costs less.
     """
 
     __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
-                 "wide", "cap", "moves", "skin", "ulp", "step", "listed",
-                 "slack")
+                 "wide", "cap", "moves", "skin", "ulp", "lo", "top", "arc",
+                 "known", "step", "listed", "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -513,6 +527,8 @@ class _Index:
         span = self.wide.cell_size
         self.cap = 2.0 * (w / span) * (h / span) / math.pi
         self.ulp = 4.0 * math.ulp(max(w, h))
+        self.arc = 0.0
+        self.known = 0  # the trig memo's size when `arc` was last taken
         self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
 
@@ -530,7 +546,7 @@ class _Index:
         else:
             self.frozen = None
             top = max(max(speeds), -lo)  # a negative speed moves back
-            self.step = 2.0 * self.moves * (top + self.ulp)
+            self.lo, self.top = lo, top
             if 4.0 * self.moves * top <= self.skin and len(speeds) <= self.cap:
                 source = "list"
             else:
@@ -556,6 +572,17 @@ class _Index:
             if self.frozen is None:
                 self.frozen = StaticCache(self.grid, xs, ys)
             return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
+        lo, top = self.lo, self.top
+        if self.moves == 1.0 and lo >= 0.0:
+            # the memo holds the heading of every agent that moved this tick
+            chord = 2.0 * math.sin(math.radians(self._arc()) / 2.0)
+            # the (top, top) and (top, lo) corners; (lo, lo) is never larger
+            # than (top, top). (s - s')^2 + chord^2 s s' is the law of
+            # cosines without its cancellation
+            step = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
+            self.step = step + 1e-9 * top + 2.0 * self.ulp
+        else:
+            self.step = 2.0 * self.moves * (top + self.ulp)
         if self.listed is not None and self.slack >= self.step:
             self.slack -= self.step
         else:
@@ -572,6 +599,20 @@ class _Index:
         _measure(self.listed, xs, ys, self.grid.width, self.grid.height, radius,
                  cut, pairs, [math.inf] * n, near)
         return pairs, near
+
+    def _arc(self) -> float:
+        """The narrowest arc, in degrees, that covers every heading of the
+        trig memo, capped at 180: no two of its headings are farther apart.
+        The memo only grows, and the covering arc of a growing set only
+        widens, so it is taken again only when the memo has grown, and never
+        once it reaches 180."""
+        trig = self.trig
+        if self.arc < 180.0 and len(trig) != self.known:
+            self.known = len(trig)
+            angles = sorted(hd % 360.0 for hd in trig)
+            gap = max(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 360.0]))
+            self.arc = min(360.0 - gap, 180.0)
+        return self.arc
 
 
 def _sincos(trig: dict, heading: float) -> tuple[float, float]:
@@ -590,6 +631,11 @@ def tick(world: WorldState) -> WorldState:
         index = world.index = _Index(p)
     agents = world.agents
     speeds = [a.speed for a in agents]
+    # one C-level pass; the sum of finite speeds can still overflow
+    if not math.isfinite(sum(speeds)):
+        for a in agents:
+            if not math.isfinite(a.speed):
+                raise ValueError(f"agent {a.id} has a non-finite speed {a.speed!r}")
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
     source = index.source(speeds, xs, ys)

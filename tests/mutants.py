@@ -95,6 +95,44 @@ MUTANTS = (
          FUSED + "test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis"),
         "equivalent: key == ny is row 0 of column 1, and key % ny == 0 "
         "already fails the row test"),
+    Mutant(
+        "charge_drops_top_lo_corner", "src/avflock/engine.py",
+        "            step = max(chord * top, math.hypot(top - lo, chord * "
+        "math.sqrt(lo * top)))\n",
+        "            step = chord * top\n",
+        (FUSED + "test_list_charge_covers_each_branch[stopped]",)),
+    Mutant(
+        "charge_arc_before_the_move", "src/avflock/engine.py",
+        "            chord = 2.0 * math.sin(math.radians(self._arc()) / 2.0)\n",
+        "            chord = 2.0 * math.sin(math.radians(self.arc) / 2.0)\n"
+        "            self._arc()\n",
+        (FUSED + "test_list_charge_covers_each_branch[new_heading]",)),
+    Mutant(
+        "charge_without_ulp", "src/avflock/engine.py",
+        "            self.step = step + 1e-9 * top + 2.0 * self.ulp\n",
+        "            self.step = step + 1e-9 * top\n",
+        (FUSED + "test_list_head_on_lanes[crawl]",)),
+    Mutant(
+        "charge_relative_on_random_walk", "src/avflock/engine.py",
+        "        if self.moves == 1.0 and lo >= 0.0:\n",
+        "        if lo >= 0.0:\n",
+        (FUSED + "test_list_charge_covers_each_branch[random_walk]",)),
+    Mutant(
+        "charge_relative_on_negative_speed", "src/avflock/engine.py",
+        "        if self.moves == 1.0 and lo >= 0.0:\n",
+        "        if self.moves == 1.0:\n",
+        (FUSED + "test_list_charge_covers_each_branch[negative_speed]",)),
+    Mutant(
+        "arc_uncapped", "src/avflock/engine.py",
+        "            self.arc = min(360.0 - gap, 180.0)\n",
+        "            self.arc = 360.0 - gap\n",
+        (FUSED + "test_list_exact_ties",)),
+    Mutant(
+        "speed_check_only_on_an_infinite_sum", "src/avflock/engine.py",
+        "    if not math.isfinite(sum(speeds)):\n",
+        "    if math.isinf(sum(speeds)):\n",
+        ("tests/test_engine.py::TestTick::"
+         "test_non_finite_speed_names_the_agent",)),
 )
 
 

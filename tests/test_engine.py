@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import io
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -195,6 +196,26 @@ class TestTick:
         pos = (a.x, a.y, b.x, b.y)
         tick(world)
         assert (a.x, a.y, b.x, b.y) == pos
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 39])
+    def test_non_finite_speed_names_the_agent(self, scenario, value, at):
+        # whichever pair source the tick would take and wherever the agent
+        # sits: max() skips a nan after the first element, but not at it
+        world = setup(SimParams(n_red=20, n_black=20, scenario=scenario), 1)
+        tick(world)
+        world.agents[at].speed = value
+        before = copy.deepcopy(world.agents)
+        with pytest.raises(ValueError, match=f"^agent {at} has a non-finite speed"):
+            tick(world)
+        assert world.agents == before and world.tick == 1
+
+    def test_finite_speeds_whose_sum_overflows_still_tick(self):
+        world = world_at([(10.0, 10.0), (60.0, 60.0)], speeds=[1.7e308, 1.7e308])
+        tick(world)
+        assert world.tick == 1
+        assert all(math.isfinite(a.x) and math.isfinite(a.y) for a in world.agents)
 
     def test_deterministic_successor(self):
         for scenario in Scenario:

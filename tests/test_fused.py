@@ -14,11 +14,14 @@ _Index.source picks: the grid pass, StaticCache (at least half the flock
 stopped) or the neighbor list (a slow, sparse flock). One audit wraps
 _Index.pairs, the one pair step: after every tick it checks the pairs and
 nearest ids against a fresh scan of the agents and an O(n^2) reference,
-whatever served them, and records the source. The gate's bounds are tested
-on the gate itself. The tests after them run the audit on worlds that reach
-each corner of the cache (dense worlds that freeze and thaw for 1000 ticks)
-and of the list (slack rebuilds, the speed bound turning off and on,
-hand-overs, exact ties, head-on lanes), and on caller edits between ticks.
+whatever served them, and records the source; on a list tick it checks
+that no two agents moved relative to each other by more than the list was
+charged. The gate's bounds are tested on the gate itself. The tests after
+them run the audit on worlds that reach each corner of the cache (dense
+worlds that freeze and thaw for 1000 ticks) and of the list (slack
+rebuilds, the speed bound turning off and on, hand-overs, exact ties,
+head-on lanes, each branch of the charge), and on caller edits between
+ticks.
 A world.params replaced between ticks must take effect on the next tick.
 """
 
@@ -30,7 +33,7 @@ import random
 
 import pytest
 
-from avflock import engine
+from avflock import builtin_set, engine
 from avflock.agents import ActionKind, random_walk_step, social_step
 from avflock.core import (AgentState, CollisionRule, Scenario, SimParams,
                           Team, WorldState, displace, torus_distance_xy)
@@ -298,10 +301,12 @@ def test_scan_rejects_reach_beyond_cell():
 
 
 # One audit for every pair source of both scenarios. Its `tick` records the
-# world and ticks it; it wraps _Index.pairs, checks that the tick's position
-# snapshot is where the move kernel left the agents, checks each tick against
-# a fresh fine-grid scan of the agents' own positions and _brute_force,
-# records the source served, and counts the corner cases the ticks met, so
+# world, where its agents start and the trig memo's headings, and ticks it;
+# it wraps _Index.pairs, checks that the tick's position snapshot is where
+# the move kernel left the agents, checks each tick against a fresh
+# fine-grid scan of the agents' own positions and _brute_force, checks a
+# held list's charge against the agents' largest relative move, records the
+# source served, and counts the corner cases the ticks met, so
 # each test can show that it reached them. A later source is audited by the
 # same code.
 
@@ -312,6 +317,9 @@ class _Audit:
         self.sources: list[str] = []  # per tick, "end" between worlds
         self.ties = ties
         self.world: WorldState | None = None  # the world `tick` is ticking
+        # where its agents started the tick, and the memo's headings then
+        self.start: list[tuple[float, float]] = []
+        self.memo: set = set()
         pair_step = engine._Index.pairs
         # a second audit would wrap the first and audit each tick twice
         assert pair_step.__qualname__ == "_Index.pairs", "already audited"
@@ -355,6 +363,10 @@ class _Audit:
     def tick(self, world: WorldState) -> None:
         """Tick `world`, every pair step of it audited."""
         self.world = world
+        self.start = [(a.x, a.y) for a in world.agents]
+        index = world.index
+        fresh = index is None or index.params is not world.params
+        self.memo = set() if fresh else set(index.trig)
         try:
             tick(world)
         finally:
@@ -394,10 +406,12 @@ class _Audit:
         seen = self.seen
         built = index.listed is not listed
         seen["built" if built else "served"] += 1
-        # a pair closes by at most 2 * (max |speed| + ulp) per move: one
-        # move a social tick, two a random-walk tick
-        moves = 1 if p.scenario is Scenario.ALL_SOCIAL_AVS else 2
-        step = 2.0 * moves * (max(map(abs, speeds)) + index.ulp)
+        step = index.step
+        if listed is not None:
+            # the charge covers the tick: no two agents moved farther
+            # relative to each other, measured on the torus, than it
+            assert _largest_relative_move(self.start, xs, ys, p) <= step
+            self._charge(step, speeds, p, index.ulp)
         if not built:
             assert slack >= step  # a list serves while its slack covers a tick
             # (a) a list serving a tick it was already charged for
@@ -413,6 +427,41 @@ class _Audit:
                 seen["at_radius"] += d == p.collision_radius
                 seen["at_cut"] += d == index.cut
                 seen["at_span"] += built and d == index.wide.cell_size
+
+    def _charge(self, step, speeds, p, ulp):
+        """Count which charge a list tick took: the fallback of the random
+        walk or of a negative speed, which is 2 * (max |speed| + ulp) per
+        move, or the relative one, with a stopped agent, head-on movers or
+        a heading the memo lacked before the move."""
+        seen = self.seen
+        fallback = 2.0 * (max(map(abs, speeds)) + ulp)
+        if p.scenario is Scenario.RANDOM_WALK:
+            seen["charge_random_walk"] += 1
+            assert step == 2.0 * fallback  # two moves a tick
+        elif min(speeds) < 0.0:
+            seen["charge_negative_speed"] += 1
+            assert step == fallback
+        else:
+            movers = [a.heading for a, sp in zip(self.world.agents, speeds) if sp]
+            seen["charge_stopped"] += 0.0 in speeds
+            seen["charge_head_on"] += any(
+                (a - b) % 360.0 == 180.0
+                for a, b in itertools.permutations({hd % 360.0 for hd in movers}, 2))
+            seen["charge_new_heading"] += any(hd not in self.memo for hd in movers)
+
+
+def _largest_relative_move(start, xs, ys, p):
+    """The largest distance by which two agents moved relative to each
+    other from `start` to (xs, ys), on the torus: each agent's move is
+    known only up to whole turns, and so is their difference."""
+    w, h = p.world_width, p.world_height
+    moves = [(x - x0, y - y0) for (x0, y0), x, y in zip(start, xs, ys)]
+    largest = 0.0
+    for (dxi, dyi), (dxj, dyj) in itertools.combinations(moves, 2):
+        rx = (dxi - dxj) % w
+        ry = (dyi - dyj) % h
+        largest = max(largest, math.hypot(min(rx, w - rx), min(ry, h - ry)))
+    return largest
 
 
 def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
@@ -696,6 +745,84 @@ def test_list_head_on_lanes(monkeypatch, x0, speed, radius, width, ticks):
     assert world.total_collisions == 10  # every lane's pair met once
 
 
+# The list's charge: on a social tick with no negative speed, the largest
+# closing speed of two agents over the tick's heading arc and speed range;
+# else 2 * moves * max |speed|. The audit checks every charged tick against
+# the agents' largest relative move; each world below reaches one branch.
+
+def _stopped_flock() -> WorldState:
+    # two headings, 90 and 120; a stopped agent closes on a mover at the
+    # mover's full speed, the (top, lo) corner of the bound
+    world = _slow_flock(0)
+    for a in world.agents[::4]:
+        a.speed = 0.0
+    return world
+
+
+def _parade() -> WorldState:
+    # one heading and one speed: nothing closes, and the charge is the
+    # rounding allowance alone until a caller turns an agent. Sonar 0 keeps
+    # each agent on its heading
+    world = _slow_flock(0, min_velocity=0.3, max_velocity=0.3, sonar_range=0.0)
+    for a in world.agents:
+        a.heading = 90.0
+    return world
+
+
+def _turn_about(world: WorldState, t: int) -> None:
+    # onto a heading the trig memo lacks, after the list was built
+    if t == 10:
+        world.agents[0].heading = 270.0
+
+
+def _reverse(world: WorldState, t: int) -> None:
+    if t == 1:  # after the first list is built
+        world.agents[0].speed = -0.45
+
+
+CHARGES = {
+    "stopped": (_stopped_flock, None),
+    "new_heading": (_parade, _turn_about),
+    "negative_speed": (lambda: _hand_made(_HEAD_ON_AFTER_REVERSING)[0], _reverse),
+    "head_on": (lambda: _lanes_world(10.0, 0.5, 1.0, 50.0), None),
+    "random_walk": (lambda: _slow_flock(0, scenario=Scenario.RANDOM_WALK,
+                                        n_red=10, n_black=10), None),
+}
+
+
+@pytest.mark.parametrize("branch", CHARGES)
+def test_list_charge_covers_each_branch(monkeypatch, branch):
+    make, edit = CHARGES[branch]
+    audit = _Audit(monkeypatch)
+    world = make()
+    for t in range(60):
+        if edit is not None:
+            edit(world, t)
+        audit.tick(world)
+    assert audit.seen["charge_" + branch] > 0, audit.seen
+
+
+def test_list_builds_at_the_social_scale_density(monkeypatch):
+    # social_scale's set1 flock at a tenth of its size, on the same
+    # density: charging the list by relative motion builds it 15 times in
+    # 100 ticks, where 2 * max |speed| a tick built it 25 times
+    grids = []
+    scan = SpatialGrid.scan
+
+    def counted(grid, *args):
+        grids.append(grid)
+        return scan(grid, *args)
+
+    monkeypatch.setattr(SpatialGrid, "scan", counted)
+    params = dataclasses.replace(builtin_set("set1").configurations[0],
+                                 n_red=200, n_black=200, world_width=111.8,
+                                 world_height=111.8, ticks=100)
+    world = setup(params, 0)
+    for _ in range(params.ticks):
+        tick(world)
+    assert sum(g is world.index.wide for g in grids) == 15
+
+
 # tick() is public and WorldState mutable: an edit a caller makes between
 # ticks must reach the next tick's result, whichever source served the last.
 
@@ -814,13 +941,17 @@ def _hand_made(spots) -> tuple[WorldState, WorldState]:
         params=params, rng=random.Random(0)) for _ in range(2))
 
 
+# agent 0 meets agent 1 head-on once it is given a negative speed
+_HEAD_ON_AFTER_REVERSING = [(10.0, 10.0, 270.0, 0.25), (13.05, 10.0, 270.0, 0.25),
+                            (25.0, 25.0, 0.0, 0.25), (5.0, 25.0, 180.0, 0.25)]
+
+
 def test_list_bounds_a_negative_speed_by_its_size():
     # a negative speed moves an agent back. Here the others move 0.25 m a
     # tick, so a step bound on max(speeds) would let the list serve three
     # ticks in which the -0.45 m agent and the one it meets head-on close
     # 2.1 m, more than the 2 m skin
-    fused, ref = _hand_made([(10.0, 10.0, 270.0, 0.25), (13.05, 10.0, 270.0, 0.25),
-                             (25.0, 25.0, 0.0, 0.25), (5.0, 25.0, 180.0, 0.25)])
+    fused, ref = _hand_made(_HEAD_ON_AFTER_REVERSING)
     for t in range(8):
         if t == 1:  # after the first list is built, 3.05 m apart
             assert fused.index.listed == []
