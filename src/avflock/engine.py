@@ -18,20 +18,21 @@ agent within sonar range is a threat exactly when it lies within that cut.
 That pair rule lives in `_measure` alone; every pass only builds its
 partner lists.
 
-`tick` takes one snapshot of the agents' speeds and positions; the move
-kernel writes the new positions into it as well as into the agents, and
-the grid, the cache, the list and `_measure` all read that one snapshot.
-Both scenarios take the tick's pairs from one pair step, _Index.pairs, out
-of the source _Index.source picks:
-- at least half stopped, StaticCache. An agent with speed 0 does not move,
-  so its distances to other stopped agents repeat bit for bit, and stopped
-  social agents pile into clusters. The cache keeps the stopped agents'
-  colliding pairs and nearest stopped neighbors across ticks and measures
-  only the pairs with a mover in them.
-- else, while the flock is slow and sparse, a Verlet list of the pairs that
-  were within reach + skin when it was built, rebuilt once the flock could
-  have closed the skin. A random walker moves twice a tick, so its skin is
-  twice the social one.
+`tick` takes one snapshot of the agents' speeds, headings and positions;
+the move kernel writes the new positions into it as well as into the
+agents, and the grid, the cache, the list and `_measure` all read that one
+snapshot. Both scenarios take the tick's pairs from one pair step,
+_Index.pairs, out of one of three sources:
+- at least half stopped (_Index.source), StaticCache. An agent with speed 0
+  does not move, so its distances to other stopped agents repeat bit for
+  bit, and stopped social agents pile into clusters. The cache keeps the
+  stopped agents' colliding pairs and nearest stopped neighbors across
+  ticks and measures only the pairs with a mover in them.
+- else a Verlet list of the pairs that were within reach + skin when it
+  was built, charged each tick the most two agents can have closed in its
+  move, while its slack covers that step. A new list is built only while
+  it lasts two ticks at this step and the flock is sparse. A random walker
+  moves twice a tick, so its skin is twice the social one.
 - else the grid pass.
 The cache and the list hold only while every agent is where the last tick
 they served left it. Each yields exactly what SpatialGrid.scan yields.
@@ -473,41 +474,40 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
-    heading, the StaticCache and the neighbor list (each None while `source`
-    picks another pair source), and the snapshot of the last tick either
-    served (`xs`, `ys`), which the move kernel moved with the agents.
+    heading, the StaticCache and the neighbor list (each None while another
+    pair source serves), and the snapshot of the last tick (`xs`, `ys`),
+    which the move kernel moved with the agents.
 
     The list: with reach = max(cut, collision_radius) and `moves` per agent
     per tick (1 social, 2 random walk), skin = 2 * reach * moves and span =
     reach + skin. `listed` holds the (i, partners) lists of the pairs closer
     than `span` when it was built, from a second grid (`wide`) with cell
-    `span`. `step` is the most a pair can close in this tick's move(s), and
-    `slack` what the list can still absorb. A pair missing from the list
-    was at least `span` apart and has closed by less than `skin`: it is
-    still beyond `reach`. `lo` and `top` are this tick's least speed and
-    largest |speed|, and `ulp` a per-move rounding allowance.
+    `span`, and `slack` what it can still absorb. A pair missing from the
+    list was at least `span` apart and has closed by less than `skin`: it
+    is still beyond `reach`.
 
-    A social tick moves each mover once, by its speed along its heading,
-    and the trig memo then holds every mover's heading. With `arc` the
-    narrowest arc covering the memo's headings, capped at 180 degrees, two
-    displacements at speeds s, s' in [lo, top] differ by at most
-    |s u - s' v| for unit u, v `arc` apart; that is convex in (s, s'), so
-    a corner of the box bounds it: step = max(chord * top,
-    hypot(top - lo, chord * sqrt(lo * top))), chord = 2 sin(arc / 2), plus
-    a 1e-9 share of top for the rounding of the directions and of the bound
-    itself, plus 2 * ulp. A stopped agent is covered by lo = 0. A negative
-    lo and every random-walk tick (two moves on headings that span at least
-    180 degrees) take step = 2 * moves * (top + ulp).
+    `step` is the most two agents can have closed in this tick's move(s).
+    Each move takes an agent its speed along a heading the trig memo then
+    holds. With `lo` and `top` the tick's least speed and largest |speed|
+    and `arc` the narrowest arc covering the memo's headings, capped at 180
+    degrees, two displacements at speeds s, s' in [lo, top] differ by at
+    most |s u - s' v| for unit u, v `arc` apart; that is convex in (s, s'),
+    so a corner of the box bounds it: max(chord * top, hypot(top - lo,
+    chord * sqrt(lo * top))), chord = 2 sin(arc / 2). A negative speed moves
+    an agent back, so it takes chord 2 and lo 0. The step is `moves` times
+    that, plus a 1e-9 share of top for the rounding of the directions and
+    of the bound itself, plus 2 * `ulp` for the rounding of each move.
 
-    The list serves only while it lasts two ticks at that fallback charge
-    (4 * moves * top <= skin: top <= reach / 2) and the world's n agents,
-    spread evenly, would list at most about one pair each (n <= `cap` =
-    2wh / (pi span^2)); past either bound the grid costs less.
+    A held list serves while its slack covers the step. A new one is built
+    only while it lasts two ticks at this step (2 * step <= skin) and the
+    world's n agents, spread evenly, would list at most about one pair each
+    (n <= `cap` = 2wh / (pi span^2)); past either bound the grid pass costs
+    less, and serves.
     """
 
     __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
-                 "wide", "cap", "moves", "skin", "ulp", "lo", "top", "arc",
-                 "known", "step", "listed", "slack")
+                 "wide", "cap", "moves", "skin", "ulp", "arc", "known",
+                 "step", "listed", "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -532,60 +532,53 @@ class _Index:
         self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
 
-    def source(self, speeds: list[float], xs: list[float],
-               ys: list[float]) -> str:
-        """The pair source of a tick whose agents start it with `speeds` at
-        (xs, ys): "cache" at least half stopped, else "list" while the flock
-        is slow and sparse enough, else "grid". Keeps only the state of the
-        source it picks, and only while every agent is where the last tick
-        it served left it: a caller may edit the world."""
-        lo = min(speeds, default=0.0)  # no agent stopped while lo > 0
-        if lo <= 0.0 and 2 * speeds.count(0.0) >= len(speeds):
+    def source(self, moved: list[int], xs: list[float],
+               ys: list[float]) -> bool:
+        """Whether the StaticCache serves a tick whose agents start it at
+        (xs, ys), of which `moved` have a nonzero speed: at least half
+        stopped. Drops the state of the other sources, and keeps the cache
+        or list it holds only while every agent is where the last tick left
+        it: a caller may edit the world."""
+        cached = 2 * len(moved) <= len(xs)
+        if cached:
             self.listed = None
-            source = "cache"
         else:
             self.frozen = None
-            top = max(max(speeds), -lo)  # a negative speed moves back
-            self.lo, self.top = lo, top
-            if 4.0 * self.moves * top <= self.skin and len(speeds) <= self.cap:
-                source = "list"
-            else:
-                self.listed = None
-                return "grid"
-        if xs != self.xs or ys != self.ys:
+        if ((self.frozen is not None or self.listed is not None)
+                and (xs != self.xs or ys != self.ys)):
             self.frozen = self.listed = None
         # the move kernel moves these with the agents
         self.xs = xs
         self.ys = ys
-        return source
+        return cached
 
-    def pairs(self, source: str, xs: list[float], ys: list[float],
+    def pairs(self, cached: bool, xs: list[float], ys: list[float],
               speeds: list[float], moved: list[int]
               ) -> tuple[set[tuple[int, int]], list[int]]:
-        """SpatialGrid.scan's pairs and nearest ids from `source`, at the
-        agents' new positions `xs`/`ys`; `speeds` are those the tick started
-        with and `moved` the agents with a nonzero one."""
+        """SpatialGrid.scan's pairs and nearest ids at the agents' new
+        positions `xs`/`ys`, from the cache if `cached`, else from the list
+        or the grid pass; `speeds` are those the tick started with and
+        `moved` the agents with a nonzero one."""
         radius, cut = self.params.collision_radius, self.cut
-        if source == "grid":
-            return self.grid.scan(xs, ys, radius, cut)
-        if source == "cache":
+        if cached:
             if self.frozen is None:
                 self.frozen = StaticCache(self.grid, xs, ys)
             return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
-        lo, top = self.lo, self.top
-        if self.moves == 1.0 and lo >= 0.0:
-            # the memo holds the heading of every agent that moved this tick
+        lo = min(speeds)
+        top = max(max(speeds), -lo)
+        if lo < 0.0:
+            chord, lo = 2.0, 0.0
+        else:
+            # the memo holds the heading of every move this tick
             chord = 2.0 * math.sin(math.radians(self._arc()) / 2.0)
-            # the (top, top) and (top, lo) corners; (lo, lo) is never larger
-            # than (top, top). (s - s')^2 + chord^2 s s' is the law of
-            # cosines without its cancellation
-            step = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
-            self.step = step + 1e-9 * top + 2.0 * self.ulp
-        else:
-            self.step = 2.0 * self.moves * (top + self.ulp)
-        if self.listed is not None and self.slack >= self.step:
-            self.slack -= self.step
-        else:
+        # the (top, top) and (top, lo) corners; (lo, lo) is never larger
+        # than (top, top). (s - s')^2 + chord^2 s s' is the law of cosines
+        # without its cancellation
+        step = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
+        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)
+        if self.listed is not None and self.slack >= step:
+            self.slack -= step
+        elif 2.0 * step <= self.skin and len(xs) <= self.cap:
             # the pairs closer than reach + skin, listed by their lower id
             partners: dict[int, list[int]] = {}
             for i, j in self.wide.scan(xs, ys, self.wide.cell_size, -1.0)[0]:
@@ -593,6 +586,9 @@ class _Index:
             self.listed = list(partners.items())
             # less a share for the rounding of the distances themselves
             self.slack = self.skin * (1.0 - 1e-9)
+        else:
+            self.listed = None
+            return self.grid.scan(xs, ys, radius, cut)
         n = len(xs)
         pairs: set[tuple[int, int]] = set()
         near = [-1] * n
@@ -631,24 +627,27 @@ def tick(world: WorldState) -> WorldState:
         index = world.index = _Index(p)
     agents = world.agents
     speeds = [a.speed for a in agents]
-    # one C-level pass; the sum of finite speeds can still overflow
-    if not math.isfinite(sum(speeds)):
+    headings = [a.heading for a in agents]
+    # one C-level pass each; a sum of finite values can still overflow
+    if not math.isfinite(sum(speeds) + sum(headings)):
         for a in agents:
-            if not math.isfinite(a.speed):
-                raise ValueError(f"agent {a.id} has a non-finite speed {a.speed!r}")
+            for field in ("speed", "heading"):
+                value = getattr(a, field)
+                if not math.isfinite(value):
+                    raise ValueError(f"agent {a.id} has a non-finite {field} {value!r}")
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
-    source = index.source(speeds, xs, ys)
-    # the agents with a nonzero speed: 0.0 and -0.0 are false, nan true
+    # the agents with a nonzero speed: 0.0 and -0.0 are false
     moved = list(compress(range(len(agents)), speeds))
+    cached = index.source(moved, xs, ys)
     social = p.scenario is Scenario.ALL_SOCIAL_AVS
     if social:
         _social_move(agents, speeds, moved, xs, ys, index.trig, p)
     else:
         _random_move(agents, speeds, xs, ys, index.trig, p, world.rng)
-    now, near = index.pairs(source, xs, ys, speeds, moved)
+    now, near = index.pairs(cached, xs, ys, speeds, moved)
     if social:
-        world.last_actions = _decide(agents, speeds, near, p)
+        world.last_actions = _decide(agents, speeds, headings, near, p)
     else:
         world.last_actions = [ActionKind.RANDOM_WALK] * len(agents)
     world.collisions_per_tick.append(_tally(world, now))
@@ -673,12 +672,12 @@ def _social_move(agents: list[AgentState], speeds: list[float],
         a.y = ys[i] = 0.0 if y >= h else y
 
 
-def _decide(agents: list[AgentState], speeds: list[float], near: list[int],
+def _decide(agents: list[AgentState], speeds: list[float],
+            headings: list[float], near: list[int],
             p: SimParams) -> list[ActionKind]:
     """Decide on the snapshot, apply in id order; equal to social_step."""
     maxv, acc, decel = p.max_velocity, p.max_acceleration, p.deceleration
     literal = p.literal_rules
-    headings = [a.heading for a in agents]
     kinds = [ActionKind.KEEP] * len(agents)
     for i, j in enumerate(near):
         a = agents[i]

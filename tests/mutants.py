@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FUSED = "tests/test_fused.py::"
+PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
+            "test_partners_list_each_adjacent_pair_once")
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ MUTANTS = (
          FUSED + "test_static_cache_flock_crosses_half_both_ways")),
     Mutant(
         "source_compares_x_only", "src/avflock/engine.py",
-        "        if xs != self.xs or ys != self.ys:\n",
-        "        if xs != self.xs:\n",
+        "                and (xs != self.xs or ys != self.ys)):\n",
+        "                and xs != self.xs):\n",
         (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
          FUSED + "test_static_cache_follows_caller_edits[stop_at_top]")),
     Mutant(
@@ -66,6 +68,18 @@ MUTANTS = (
         "            self.frozen = None\n",
         (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
          FUSED + "test_list_follows_caller_edits[move]")),
+    Mutant(
+        "source_compares_with_nothing_held", "src/avflock/engine.py",
+        "        if ((self.frozen is not None or self.listed is not None)\n"
+        "                and (xs != self.xs or ys != self.ys)):\n",
+        "        if xs != self.xs or ys != self.ys:\n",
+        (FUSED + "test_source_drops_the_state_of_the_others",)),
+    Mutant(
+        "grid_keeps_the_list", "src/avflock/engine.py",
+        "            self.listed = None\n"
+        "            return self.grid.scan(xs, ys, radius, cut)\n",
+        "            return self.grid.scan(xs, ys, radius, cut)\n",
+        (FUSED + "test_source_drops_the_state_of_the_others",)),
     Mutant(
         "random_move_skips_snapshot_y", "src/avflock/engine.py",
         "            a.y = ys[i] = y\n", "            a.y = y\n",
@@ -97,9 +111,9 @@ MUTANTS = (
         "already fails the row test"),
     Mutant(
         "charge_drops_top_lo_corner", "src/avflock/engine.py",
-        "            step = max(chord * top, math.hypot(top - lo, chord * "
+        "        step = max(chord * top, math.hypot(top - lo, chord * "
         "math.sqrt(lo * top)))\n",
-        "            step = chord * top\n",
+        "        step = chord * top\n",
         (FUSED + "test_list_charge_covers_each_branch[stopped]",)),
     Mutant(
         "charge_arc_before_the_move", "src/avflock/engine.py",
@@ -109,19 +123,31 @@ MUTANTS = (
         (FUSED + "test_list_charge_covers_each_branch[new_heading]",)),
     Mutant(
         "charge_without_ulp", "src/avflock/engine.py",
-        "            self.step = step + 1e-9 * top + 2.0 * self.ulp\n",
-        "            self.step = step + 1e-9 * top\n",
+        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)\n",
+        "        step = self.step = self.moves * (step + 1e-9 * top)\n",
         (FUSED + "test_list_head_on_lanes[crawl]",)),
     Mutant(
-        "charge_relative_on_random_walk", "src/avflock/engine.py",
-        "        if self.moves == 1.0 and lo >= 0.0:\n",
-        "        if lo >= 0.0:\n",
+        "charge_without_moves", "src/avflock/engine.py",
+        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)\n",
+        "        step = self.step = step + 1e-9 * top + 2.0 * self.ulp\n",
         (FUSED + "test_list_charge_covers_each_branch[random_walk]",)),
     Mutant(
-        "charge_relative_on_negative_speed", "src/avflock/engine.py",
-        "        if self.moves == 1.0 and lo >= 0.0:\n",
-        "        if self.moves == 1.0:\n",
+        "charge_negative_speed_on_the_arc", "src/avflock/engine.py",
+        "            chord, lo = 2.0, 0.0\n",
+        "            lo = 0.0\n"
+        "            chord = 2.0 * math.sin(math.radians(self._arc()) / 2.0)\n",
         (FUSED + "test_list_charge_covers_each_branch[negative_speed]",)),
+    Mutant(
+        "new_list_on_one_tick_of_skin", "src/avflock/engine.py",
+        "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
+        "        elif step <= self.skin and len(xs) <= self.cap:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",)),
+    Mutant(
+        "held_list_serves_without_slack", "src/avflock/engine.py",
+        "        if self.listed is not None and self.slack >= step:\n",
+        "        if self.listed is not None:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_serves_several_ticks_and_rebuilds_on_slack")),
     Mutant(
         "arc_uncapped", "src/avflock/engine.py",
         "            self.arc = min(360.0 - gap, 180.0)\n",
@@ -129,10 +155,38 @@ MUTANTS = (
         (FUSED + "test_list_exact_ties",)),
     Mutant(
         "speed_check_only_on_an_infinite_sum", "src/avflock/engine.py",
-        "    if not math.isfinite(sum(speeds)):\n",
-        "    if math.isinf(sum(speeds)):\n",
+        "    if not math.isfinite(sum(speeds) + sum(headings)):\n",
+        "    if math.isinf(sum(speeds) + sum(headings)):\n",
         ("tests/test_engine.py::TestTick::"
          "test_non_finite_speed_names_the_agent",)),
+    Mutant(
+        "check_skips_headings", "src/avflock/engine.py",
+        "    if not math.isfinite(sum(speeds) + sum(headings)):\n",
+        "    if not math.isfinite(sum(speeds)):\n",
+        ("tests/test_engine.py::TestTick::"
+         "test_non_finite_heading_names_the_agent",)),
+    Mutant(
+        "partners_slice_includes_the_cell", "src/avflock/engine.py",
+        "                    after = edges[key] = hood[hood.index(key) + 1:]\n",
+        "                    after = edges[key] = hood[hood.index(key):]\n",
+        (PARTNERS,)),
+    Mutant(
+        "partners_slice_skips_a_key", "src/avflock/engine.py",
+        "                    after = edges[key] = hood[hood.index(key) + 1:]\n",
+        "                    after = edges[key] = hood[hood.index(key) + 2:]\n",
+        (PARTNERS,)),
+    Mutant(
+        "partners_interior_admits_column_zero", "src/avflock/engine.py",
+        "            # are these 4\n"
+        "            if ny <= key < last_x and 0 < key % ny < last_y:\n",
+        "            # are these 4\n"
+        "            if 0 <= key < last_x and 0 < key % ny < last_y:\n",
+        (PARTNERS,)),
+    Mutant(
+        "partners_drop_key_plus_ny_minus_one", "src/avflock/engine.py",
+        "                    others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),\n",
+        "                    others = [*get(key + 1, ()), *get(e, ()),\n",
+        (PARTNERS,)),
 )
 
 

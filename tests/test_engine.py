@@ -211,6 +211,34 @@ class TestTick:
             tick(world)
         assert world.agents == before and world.tick == 1
 
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 39])
+    @pytest.mark.parametrize("speed, source", [(None, "list"), (5.0, "grid")])
+    def test_non_finite_heading_names_the_agent(self, scenario, value, at, speed,
+                                                source):
+        # before any agent moves, on a tick the list or the grid pass would
+        # serve: a list measures only its listed pairs, and would run on
+        world = setup(SimParams(n_red=20, n_black=20, scenario=scenario), 1)
+        tick(world)
+        if speed is not None:  # past the held list's slack: too fast for any list
+            for a in world.agents:
+                a.speed = speed
+        control = copy.deepcopy(world)
+        tick(control)
+        assert (control.index.listed is None) == (source == "grid")
+        world.agents[at].heading = value
+        before = copy.deepcopy(world.agents)
+        with pytest.raises(ValueError, match=f"^agent {at} has a non-finite heading"):
+            tick(world)
+        assert world.agents == before and world.tick == 1
+
+    def test_finite_headings_whose_sum_overflows_still_tick(self):
+        world = world_at([(10.0, 10.0), (60.0, 60.0)], headings=[1.7e308, 1.7e308])
+        tick(world)
+        assert world.tick == 1
+        assert all(math.isfinite(a.x) and math.isfinite(a.y) for a in world.agents)
+
     def test_finite_speeds_whose_sum_overflows_still_tick(self):
         world = world_at([(10.0, 10.0), (60.0, 60.0)], speeds=[1.7e308, 1.7e308])
         tick(world)

@@ -9,19 +9,21 @@ cases of the pass: grids with fewer than 3 cells per axis, a safety
 distance beyond the sonar range, sonar 0, agents at identical positions,
 exact equal-distance ties, and a slow, sparse flock.
 
-A tick of either scenario takes its pairs from one of three sources, which
-_Index.source picks: the grid pass, StaticCache (at least half the flock
-stopped) or the neighbor list (a slow, sparse flock). One audit wraps
+A tick of either scenario takes its pairs from one of three sources:
+StaticCache (at least half the flock stopped, which _Index.source tests),
+else the neighbor list while it covers the step it is charged, or the grid
+pass (both picked in _Index.pairs). One audit wraps
 _Index.pairs, the one pair step: after every tick it checks the pairs and
 nearest ids against a fresh scan of the agents and an O(n^2) reference,
 whatever served them, and records the source; on a list tick it checks
 that no two agents moved relative to each other by more than the list was
-charged. The gate's bounds are tested on the gate itself. The tests after
+charged, and that the charge is the one formula's value. The bounds are
+tested on _Index.source and _Index.pairs themselves. The tests after
 them run the audit on worlds that reach each corner of the cache (dense
 worlds that freeze and thaw for 1000 ticks) and of the list (slack
-rebuilds, the speed bound turning off and on, hand-overs, exact ties,
-head-on lanes, each branch of the charge), and on caller edits between
-ticks.
+rebuilds, a fast flock crossing the step bound both ways, hand-overs,
+exact ties, head-on lanes, each corner of the charge), and on caller
+edits between ticks.
 A world.params replaced between ticks must take effect on the next tick.
 """
 
@@ -147,7 +149,9 @@ def _world_pair(seed: int, case: str, scenario: Scenario, rule: CollisionRule,
                 literal: bool) -> tuple[WorldState, WorldState]:
     rng = random.Random(seed)
     if case == "slow_flock":
-        # within the neighbor list's speed bound: reach / 2 >= 0.2
+        # a new list lasts two ticks at any headings: the step is at most
+        # 2 * moves * top plus the rounding allowances, and top <= 0.2 is
+        # within reach / 2 (reach >= 0.4)
         top = rng.uniform(0.05, 0.2)
         speeds = dict(min_velocity=rng.uniform(0.0, top), max_velocity=top)
     else:
@@ -324,14 +328,15 @@ class _Audit:
         # a second audit would wrap the first and audit each tick twice
         assert pair_step.__qualname__ == "_Index.pairs", "already audited"
 
-        def audited(index, source, xs, ys, speeds, moved):
-            self.sources.append(source)
-            self.seen[source] += 1
+        def audited(index, cached, xs, ys, speeds, moved):
             cache, listed, slack = index.frozen, index.listed, index.slack
             # StaticCache.scan edits the cache in place
             before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
                                 cache.cells[:])
-            got = pair_step(index, source, xs, ys, speeds, moved)
+            got = pair_step(index, cached, xs, ys, speeds, moved)
+            source = _served(index, cached)
+            self.sources.append(source)
+            self.seen[source] += 1
             agents = self.world.agents  # None: ticked without the audit's tick
             # a kernel that moves an agent must move the snapshot too
             assert xs == [a.x for a in agents]
@@ -407,19 +412,23 @@ class _Audit:
         built = index.listed is not listed
         seen["built" if built else "served"] += 1
         step = index.step
+        # the one charge, from the speeds and the memo after the move
+        assert step == _step(index, speeds)
         if listed is not None:
             # the charge covers the tick: no two agents moved farther
             # relative to each other, measured on the torus, than it
             assert _largest_relative_move(self.start, xs, ys, p) <= step
-            self._charge(step, speeds, p, index.ulp)
+            self._charge(speeds, p)
         if not built:
             assert slack >= step  # a list serves while its slack covers a tick
             # (a) a list serving a tick it was already charged for
             seen["served_again"] += slack < index.skin * (1.0 - 1e-9)
-        elif listed is not None:  # _Index.source drops a list the caller moved
-            # (b) a list rebuilt only because its slack ran out
-            assert slack < step
-            seen["slack_rebuild"] += 1
+        else:
+            assert 2.0 * step <= index.skin  # a new list lasts two ticks
+            if listed is not None:  # _Index.source drops a list the caller moved
+                # (b) a list rebuilt only because its slack ran out
+                assert slack < step
+                seen["slack_rebuild"] += 1
         if self.ties:
             for i, j in itertools.combinations(range(len(xs)), 2):
                 d = torus_distance_xy(xs[i], ys[i], xs[j], ys[j], p.world_width,
@@ -428,26 +437,40 @@ class _Audit:
                 seen["at_cut"] += d == index.cut
                 seen["at_span"] += built and d == index.wide.cell_size
 
-    def _charge(self, step, speeds, p, ulp):
-        """Count which charge a list tick took: the fallback of the random
-        walk or of a negative speed, which is 2 * (max |speed| + ulp) per
-        move, or the relative one, with a stopped agent, head-on movers or
-        a heading the memo lacked before the move."""
+    def _charge(self, speeds, p):
+        """Count which corner of the charge a list tick met: the random
+        walk's two moves, a negative speed, a stopped agent, head-on movers
+        or a heading the memo lacked before the move."""
         seen = self.seen
-        fallback = 2.0 * (max(map(abs, speeds)) + ulp)
-        if p.scenario is Scenario.RANDOM_WALK:
-            seen["charge_random_walk"] += 1
-            assert step == 2.0 * fallback  # two moves a tick
-        elif min(speeds) < 0.0:
-            seen["charge_negative_speed"] += 1
-            assert step == fallback
-        else:
-            movers = [a.heading for a, sp in zip(self.world.agents, speeds) if sp]
-            seen["charge_stopped"] += 0.0 in speeds
-            seen["charge_head_on"] += any(
-                (a - b) % 360.0 == 180.0
-                for a, b in itertools.permutations({hd % 360.0 for hd in movers}, 2))
-            seen["charge_new_heading"] += any(hd not in self.memo for hd in movers)
+        seen["charge_random_walk"] += p.scenario is Scenario.RANDOM_WALK
+        seen["charge_negative_speed"] += min(speeds) < 0.0
+        movers = [a.heading for a, sp in zip(self.world.agents, speeds) if sp]
+        seen["charge_stopped"] += 0.0 in speeds
+        seen["charge_head_on"] += any(
+            (a - b) % 360.0 == 180.0
+            for a, b in itertools.permutations({hd % 360.0 for hd in movers}, 2))
+        seen["charge_new_heading"] += any(hd not in self.memo for hd in movers)
+
+
+def _served(index, cached: bool) -> str:
+    """The source that served the pair step `index` just took."""
+    return "cache" if cached else "grid" if index.listed is None else "list"
+
+
+def _step(index, speeds) -> float:
+    """The list's charge for a tick that started with `speeds`: `moves`
+    times the largest closing of two agents at speeds in [lo, top] on
+    headings at most the memo's covering arc apart (a negative speed: any
+    headings, from lo 0), plus the rounding allowances."""
+    lo, top = min(speeds), max(map(abs, speeds))
+    if lo < 0.0:
+        chord, lo = 2.0, 0.0
+    else:
+        angles = sorted(hd % 360.0 for hd in index.trig)
+        gap = max(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 360.0]))
+        chord = 2.0 * math.sin(math.radians(min(360.0 - gap, 180.0)) / 2.0)
+    bound = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
+    return index.moves * (bound + 1e-9 * top + 2.0 * index.ulp)
 
 
 def _largest_relative_move(start, xs, ys, p):
@@ -475,10 +498,26 @@ def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
     return audit.seen, collections.Counter(zip(audit.sources, audit.sources[1:]))
 
 
-# The gate. _Index.source serves the cache from exactly half stopped, the
-# list up to exactly max |speed| == reach / 2 (a list lasts two ticks) and
-# up to `cap` agents of the world it serves, and the grid pass past either
-# bound, in both scenarios.
+# The bounds. _Index.source serves the cache from exactly half stopped; past
+# that, _Index.pairs serves a held list while its slack covers the tick's
+# step, builds a new one up to exactly 2 * step == skin (it lasts two ticks)
+# and up to `cap` agents of the world it serves, and takes the grid pass past
+# either bound, in both scenarios.
+
+def _fastest_listed(index) -> float:
+    """The largest speed q at which a new list still serves a flock at
+    speeds 0 and q, or q alone, on head-on headings, which it adds to the
+    memo of `index`: the largest with 2 * step <= skin."""
+    for hd in (90.0, 270.0):  # the memo's arc is then 180 degrees
+        engine._sincos(index.trig, hd)
+    # about where 2 * step == skin: step = moves * (2 q + 1e-9 q + 2 ulp)
+    q = (index.skin / (2.0 * index.moves) - 2.0 * index.ulp) / (2.0 + 1e-9)
+    while 2.0 * _step(index, [0.0, q]) <= index.skin:
+        q = math.nextafter(q, math.inf)
+    while 2.0 * _step(index, [0.0, q]) > index.skin:
+        q = math.nextafter(q, 0.0)
+    return q
+
 
 def test_source_takes_each_bound_inclusively():
     # reach 1. Social: skin 2, span 3, and a 9 pi x 32 m world caps the list
@@ -488,11 +527,20 @@ def test_source_takes_each_bound_inclusively():
         index = engine._Index(SimParams(scenario=scenario, world_width=width,
                                         world_height=32.0))
         assert (index.skin, index.wide.cell_size, index.cap) == (skin, skin + 1, 64.0)
-        q = 0.5  # the fastest flock a list serves
+        q = _fastest_listed(index)
+        assert 2.0 * _step(index, [0.0, q]) == skin  # the bound is met exactly
         above = math.nextafter(q, math.inf)
 
-        def source(speeds):
-            return index.source(speeds, [0.0] * len(speeds), [0.0] * len(speeds))
+        def source(speeds, held=None):
+            """The source of a tick from `speeds` whose agents sit at the
+            origin, where the last tick left them, with list `held` and its
+            slack, if given, held."""
+            index.listed, index.slack = held or (None, 0.0)
+            zeros = index.xs = index.ys = [0.0] * len(speeds)
+            moved = [i for i, sp in enumerate(speeds) if sp]
+            cached = index.source(moved, zeros, zeros[:])
+            index.pairs(cached, zeros, zeros[:], speeds, moved)
+            return _served(index, cached)
 
         assert source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
         assert source([0.0, q, q, q]) == "list"
@@ -502,6 +550,18 @@ def test_source_takes_each_bound_inclusively():
         assert source([-q, q, q, q]) == "list"
         assert source([q] * 64) == "list"
         assert source([q] * 65) == "grid"
+        # a held list serves while its slack covers the step, here past the
+        # bound a new list needs
+        held = [(0, [1])]
+        step = _step(index, [0.0, above])
+        assert source([0.0, above, q, q], (held, step)) == "list"
+        assert index.listed is held and index.slack == 0.0
+        assert source([0.0, above, q, q],
+                      (held, math.nextafter(step, 0.0))) == "grid"
+        step = _step(index, [0.0, q])
+        assert source([0.0, q, q, q], (held, math.nextafter(step, 0.0))) == "list"
+        assert index.listed is not held  # a new list
+        assert index.slack == skin * (1.0 - 1e-9)
 
 
 class _Compared(list):
@@ -521,18 +581,21 @@ class _Compared(list):
 def test_source_drops_the_state_of_the_others():
     index = engine._Index(SimParams())
     xs, ys = [1.0, 2.0], [3.0, 4.0]
-    assert index.source([0.0, 0.3], xs, ys) == "cache"  # where the agents are
+    # agent 1 moves: half stopped
+    assert index.source([1], xs, ys) is True  # where the agents are
     held = index.frozen = index.listed = object()
-    assert index.source([0.0, 0.3], xs[:], ys[:]) == "cache"
+    assert index.source([1], xs[:], ys[:]) is True
     assert (index.frozen, index.listed) == (held, None)
     index.listed = held
-    assert index.source([0.3, 0.3], xs[:], ys[:]) == "list"
+    assert index.source([0, 1], xs[:], ys[:]) is False
     assert (index.frozen, index.listed) == (None, held)
-    index.frozen = held
-    # a grid tick drops both, so that no state outlives it, without
-    # comparing the positions
+    # a grid tick drops the list, so that no state outlives it, and the
+    # next tick, holding none, compares no positions
+    engine._sincos(index.trig, 90.0)
+    index.pairs(False, xs, ys, [9.0, 0.3], [0, 1])
+    assert (index.frozen, index.listed) == (None, None)
     now = _Compared(xs), _Compared(ys)
-    assert index.source([9.0, 0.3], *now) == "grid"
+    assert index.source([0, 1], *now) is False
     assert (index.frozen, index.listed) == (None, None)
     assert [v.count for v in now] == [0, 0]
 
@@ -543,8 +606,10 @@ def test_source_drops_the_state_of_the_others():
 def test_source_holds_state_only_where_the_last_tick_left_the_agents(
         speeds, source, state, edit):
     index = engine._Index(SimParams())
+    cached = source == "cache"
+    moved = [i for i, sp in enumerate(speeds) if sp]
     xs, ys = [1.0, 2.0, 5.0], [3.0, 4.0, 5.0]
-    assert index.source(speeds, xs, ys) == source
+    assert index.source(moved, xs, ys) is cached
     held = object()
     setattr(index, state, held)
     # the move kernel moves the snapshot the tick took, in place
@@ -555,7 +620,7 @@ def test_source_holds_state_only_where_the_last_tick_left_the_agents(
         now[0][0] = math.nextafter(xs[0], 0.0)
     elif edit == "y":  # or another along y alone
         now[1][1] = math.nextafter(ys[1], math.inf)
-    assert index.source(speeds, *now) == source
+    assert index.source(moved, *now) is cached
     assert getattr(index, state) is (held if edit is None else None)
     assert max(v.count for v in now) <= 1  # each axis compared at most once
 
@@ -657,12 +722,22 @@ def test_static_cache_tiny_grid(monkeypatch):
 
 def _slow_flock(seed: int, **changes) -> WorldState:
     # sparse enough for the social list's density bound (0.63) and, at
-    # 0.5 m a tick, slow enough for its speed bound (reach / 2)
+    # 0.5 m a tick on two headings 30 degrees apart, charged at most 0.5 m
+    # a tick: a new list lasts at least two ticks of its 2 m skin
     params = dict(n_red=20, n_black=20, world_width=30.0, world_height=30.0,
                   min_velocity=0.3, max_velocity=0.5, deceleration=0.1,
                   max_acceleration=0.3)
     params.update(changes)
     return setup(SimParams(**params), seed)
+
+
+def _slow_walk(seed: int) -> WorldState:
+    # 10 + 10 random walkers lie within their list's density bound (22.9).
+    # A walker moves twice a tick and its turns soon cover 180 degrees, so a
+    # tick is charged 4 * max |speed|: at 0.4 m a move a new list lasts two
+    # ticks of the 4 m skin, where 0.5 m would use it up in one
+    return _slow_flock(seed, scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10,
+                       max_velocity=0.4)
 
 
 def test_list_serves_several_ticks_and_rebuilds_on_slack(monkeypatch):
@@ -672,10 +747,12 @@ def test_list_serves_several_ticks_and_rebuilds_on_slack(monkeypatch):
 
 
 def test_list_speed_gate_turns_off_and_on(monkeypatch):
-    # recovery takes agents past reach / 2 = 0.5, and mirroring a
-    # neighbor slows them again; the density stays within the list's bound
+    # recovery takes agents to the reach, 1 m a tick, where a new list
+    # charged at least max |speed| a tick, as it is beside a stopped agent,
+    # would not last two ticks; mirroring a neighbor slows them again. The
+    # density stays within the list's bound
     world = _slow_flock(0, n_red=12, n_black=12, world_width=24.0,
-                        world_height=24.0, max_velocity=0.6, max_acceleration=0.1)
+                        world_height=24.0, max_velocity=1.0, max_acceleration=0.1)
     _, flips = _audited(monkeypatch, [world])
     assert flips["list", "grid"] >= 2 and flips["grid", "list"] >= 2  # (c)
 
@@ -686,17 +763,20 @@ def test_list_hands_over_to_the_cache_and_back(monkeypatch):
 
 
 def _list_lattice_world(seed: int) -> WorldState:
-    # a 0.5 m lattice, axis headings and speeds 0 or 0.5: pair distances
-    # fall exactly on the radius (0.5), the cut (1) and reach + skin (3)
+    # a 0.25 m lattice, axis headings and speeds 0 or 0.25, the fastest on
+    # the lattice that a list serves head-on: pair distances fall exactly
+    # on the radius (0.5), the cut (1) and reach + skin (3). A mirror keeps
+    # its neighbor's speed, and a stopped agent starts again, so the flock
+    # stays off the cache
     rng = random.Random(seed)
     params = SimParams(n_red=6, n_black=6, world_width=16.0, world_height=12.0,
-                       min_velocity=0.0, max_velocity=0.5, max_acceleration=0.5,
-                       deceleration=0.5, sonar_range=1.0, min_safety_distance=1.5,
+                       min_velocity=0.0, max_velocity=0.25, max_acceleration=0.25,
+                       deceleration=0.0, sonar_range=1.0, min_safety_distance=1.5,
                        collision_radius=0.5)
     agents = [AgentState(id=i, team=Team.RED if i < 6 else Team.BLACK,
-                         x=rng.randrange(32) * 0.5, y=rng.randrange(24) * 0.5,
+                         x=rng.randrange(64) * 0.25, y=rng.randrange(48) * 0.25,
                          heading=rng.choice((0.0, 90.0, 180.0, 270.0)),
-                         speed=rng.choice((0.0, 0.5, 0.5)))
+                         speed=rng.choice((0.0, 0.25, 0.25)))
               for i in range(12)]
     return WorldState(agents=agents, params=params, rng=random.Random(seed))
 
@@ -707,16 +787,18 @@ def test_list_exact_ties(monkeypatch):
     assert seen["at_radius"] > 0 and seen["at_cut"] > 0 and seen["at_span"] > 0  # (e)
 
 
-def _lanes_world(x0: float, speed: float, radius: float,
+def _lanes_world(x0: float, speed: float | None, radius: float,
                  width: float) -> WorldState:
     """Ten lanes, each with a pair that closes head-on at 2 * speed a tick
     and, after the first tick's move, starts at reach + skin = 3 * radius
     plus k / 10 radii: the first list leaves every pair out. Sonar 0 keeps
-    each agent on its heading."""
+    each agent on its heading. Speed None is the fastest a list serves."""
     params = SimParams(n_red=10, n_black=10, world_width=width,
-                       world_height=width, min_velocity=speed, max_velocity=speed,
-                       max_acceleration=0.0, deceleration=0.0, sonar_range=0.0,
-                       collision_radius=radius)
+                       world_height=width, max_acceleration=0.0, deceleration=0.0,
+                       sonar_range=0.0, collision_radius=radius)
+    if speed is None:
+        speed = _fastest_listed(engine._Index(params))
+    params = dataclasses.replace(params, min_velocity=speed, max_velocity=speed)
     agents = []
     for k in range(10):
         y = x0 + 4 * k * radius
@@ -729,8 +811,9 @@ def _lanes_world(x0: float, speed: float, radius: float,
 
 
 @pytest.mark.parametrize("x0, speed, radius, width, ticks", [
-    # at the speed bound, a pair closes the whole skin in two ticks
-    (10.0, 0.5, 1.0, 50.0, 20),
+    # at the bound, a pair closes the whole skin, less the rounding
+    # allowances, in two ticks
+    (10.0, None, 1.0, 50.0, 20),
     # a crawling flock: near 1.2e7 a coordinate's ulp is 1.86e-9, so each
     # 1e-9 m move rounds to a 1.86e-9 m one, and only the rounding
     # allowance keeps the list exact over the 5400 to 7800 ticks the
@@ -784,9 +867,8 @@ CHARGES = {
     "stopped": (_stopped_flock, None),
     "new_heading": (_parade, _turn_about),
     "negative_speed": (lambda: _hand_made(_HEAD_ON_AFTER_REVERSING)[0], _reverse),
-    "head_on": (lambda: _lanes_world(10.0, 0.5, 1.0, 50.0), None),
-    "random_walk": (lambda: _slow_flock(0, scenario=Scenario.RANDOM_WALK,
-                                        n_red=10, n_black=10), None),
+    "head_on": (lambda: _lanes_world(10.0, None, 1.0, 50.0), None),
+    "random_walk": (lambda: _slow_walk(0), None),
 }
 
 
@@ -823,6 +905,32 @@ def test_list_builds_at_the_social_scale_density(monkeypatch):
     assert sum(g is world.index.wide for g in grids) == 15
 
 
+def test_list_serves_the_fast_social_flock(monkeypatch):
+    # set2's fast flock (0.9 m a tick at most) at a tenth of social_scale's
+    # size, on the same density: a new list lasts two ticks at the step it
+    # is charged, so the grid pass serves no tick, where a gate on
+    # 2 * max |speed| a tick left it 69
+    served = collections.Counter()
+    pair_step = engine._Index.pairs
+
+    def counted(index, cached, *args):
+        listed = index.listed
+        got = pair_step(index, cached, *args)
+        served[_served(index, cached)] += 1
+        served["built"] += index.listed is not None and index.listed is not listed
+        return got
+
+    monkeypatch.setattr(engine._Index, "pairs", counted)
+    params = dataclasses.replace(builtin_set("set2").configurations[0],
+                                 n_red=200, n_black=200, world_width=111.8,
+                                 world_height=111.8, ticks=300)
+    assert params.scenario is Scenario.ALL_SOCIAL_AVS
+    world = setup(params, 0)
+    for _ in range(params.ticks):
+        tick(world)
+    assert [served[k] for k in ("cache", "list", "grid", "built")] == [224, 76, 0, 25]
+
+
 # tick() is public and WorldState mutable: an edit a caller makes between
 # ticks must reach the next tick's result, whichever source served the last.
 
@@ -836,7 +944,7 @@ def _edit(world: WorldState, edit: str) -> None:
     if edit == "move":
         a.x, a.y = far.x, far.y  # onto that agent: the pair collides
     elif edit == "speed":
-        # past the list's speed bound, and a mover that stops
+        # too fast for any list, and a mover that stops
         a.speed = 1.5
         next(b for b in agents if b.speed != 0.0 and b is not a).speed = 0.0
     elif edit == "stop_at_edge":
@@ -884,11 +992,9 @@ def test_static_cache_follows_caller_edits(monkeypatch, edit):
 
 @pytest.mark.parametrize("edit", EDITS)
 def test_list_follows_caller_edits(monkeypatch, edit):
-    # 10 + 10 random walkers lie within their list's density bound (22.9)
     audit = _Audit(monkeypatch)
-    for changes in ({}, dict(scenario=Scenario.RANDOM_WALK, n_red=10, n_black=10)):
-        _follows_caller_edits(audit, "list", lambda: _slow_flock(0, **changes), 60,
-                              edit)
+    for make in (lambda: _slow_flock(0), lambda: _slow_walk(0)):
+        _follows_caller_edits(audit, "list", make, 60, edit)
 
 
 @pytest.mark.parametrize("edit", EDITS)
@@ -941,9 +1047,10 @@ def _hand_made(spots) -> tuple[WorldState, WorldState]:
         params=params, rng=random.Random(0)) for _ in range(2))
 
 
-# agent 0 meets agent 1 head-on once it is given a negative speed
+# agent 0 meets agent 1 head-on once it is given a negative speed; every
+# heading is the same, so only the negative speed's own rule charges that
 _HEAD_ON_AFTER_REVERSING = [(10.0, 10.0, 270.0, 0.25), (13.05, 10.0, 270.0, 0.25),
-                            (25.0, 25.0, 0.0, 0.25), (5.0, 25.0, 180.0, 0.25)]
+                            (25.0, 25.0, 270.0, 0.25), (5.0, 25.0, 270.0, 0.25)]
 
 
 def test_list_bounds_a_negative_speed_by_its_size():
