@@ -22,20 +22,21 @@ partner lists.
 the move kernel writes the new positions into it as well as into the
 agents, and the grid, the cache, the list and `_measure` all read that one
 snapshot. Both scenarios take the tick's pairs from one pair step,
-_Index.pairs, out of one of three sources:
-- at least half stopped (_Index.source), StaticCache. An agent with speed 0
-  does not move, so its distances to other stopped agents repeat bit for
-  bit, and stopped social agents pile into clusters. The cache keeps the
-  stopped agents' colliding pairs and nearest stopped neighbors across
-  ticks and measures only the pairs with a mover in them.
+_Index.pairs, the only code that picks one of three sources:
+- at least half stopped, StaticCache. An agent with speed 0 does not
+  move, so its distances to other stopped agents repeat bit for bit, and
+  stopped social agents pile into clusters. The cache keeps the stopped
+  agents' colliding pairs and nearest stopped neighbors across ticks and
+  measures only the pairs with a mover in them.
 - else a Verlet list of the pairs that were within reach + skin when it
   was built, charged each tick the most two agents can have closed in its
   move, while its slack covers that step. A new list is built only while
   it lasts two ticks at this step and the flock is sparse. A random walker
   moves twice a tick, so its skin is twice the social one.
 - else the grid pass.
-The cache and the list hold only while every agent is where the last tick
-they served left it. Each yields exactly what SpatialGrid.scan yields.
+_Index.held keeps the cache or the list across ticks, never both, and
+_Index.source drops it unless every agent is where the last tick left it.
+Each source yields exactly what SpatialGrid.scan yields.
 
 `run` writes the trace once per tick. A row's heading, speed and action
 text repeats across agents and ticks, so it is memoised per value; only
@@ -74,9 +75,12 @@ _MAX_CELLS = 1 << 30  # of a SpatialGrid, per axis and per metre
 class SpatialGrid:
     """Uniform bucket grid over the torus for broad-phase neighbor queries.
 
-    Cells are at least `cell_size` wide, so any query with radius at most
-    cell_size is answered from the 3x3 wrapped cell neighborhood. The grid
-    is a pure accelerator: results must match a full O(n^2) scan exactly.
+    Cells are at least `cell_size` + 4 ulp(max(width, height)) wide, so any
+    query with radius at most cell_size is answered from the 3x3 wrapped
+    cell neighborhood: two agents whose cells are two apart are more than
+    cell_size apart even as computed, after the rounding of their keys and
+    of their distance. The grid is a pure accelerator: results must match a
+    full O(n^2) scan exactly.
     """
 
     def __init__(self, width: float, height: float, cell_size: float):
@@ -85,10 +89,11 @@ class SpatialGrid:
         self.width = width
         self.height = height
         self.cell_size = cell_size
+        wide = cell_size + 4.0 * math.ulp(max(width, height))
         # capped, so that a tiny cell_size or world keeps the count and the
         # scales below finite; fewer, wider cells answer the same queries
-        self.nx = max(1, int(min(width / cell_size, _MAX_CELLS, width * _MAX_CELLS)))
-        self.ny = max(1, int(min(height / cell_size, _MAX_CELLS, height * _MAX_CELLS)))
+        self.nx = max(1, int(min(width / wide, _MAX_CELLS, width * _MAX_CELLS)))
+        self.ny = max(1, int(min(height / wide, _MAX_CELLS, height * _MAX_CELLS)))
         # nx / width is inf for a single cell on a world narrower than
         # about 5.6e-309 m, and 0.0 * inf is nan; scale 0 keys all to cell 0
         self._sx = self.nx / width if self.nx > 1 else 0.0
@@ -267,9 +272,9 @@ def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
     id). A pair at most `cut` apart is merged into both agents' nearest,
     `best` the distance and `near` the id, ties to the lowest id.
     """
-    # d >= max(dx, dy), and hypot errs by under an ulp, so a pair with
-    # dx or dy beyond this bound is outside both radius and cut
-    far = max(radius, cut) * (1.0 + 1e-9)
+    # hypot is never below max(dx, dy), so a pair with dx or dy beyond
+    # this bound is outside both radius and cut
+    far = max(radius, cut)
     hypot = math.hypot
     for i, partners in todo:
         xi = xs[i]
@@ -474,13 +479,13 @@ def detect_collisions(world: WorldState, collision_radius: float) -> int:
 class _Index:
     """Per-run state, rebuilt when `world.params` is not `params`: the grid,
     the nearest-neighbor cut (-1 in the random walk), the (sin, cos) memo per
-    heading, the StaticCache and the neighbor list (each None while another
-    pair source serves), and the snapshot of the last tick (`xs`, `ys`),
-    which the move kernel moved with the agents.
+    heading, `held`, the pair source the last tick left (its StaticCache,
+    its neighbor list, or None after a grid pass), and the snapshot of the
+    last tick (`xs`, `ys`), which the move kernel moved with the agents.
 
     The list: with reach = max(cut, collision_radius) and `moves` per agent
     per tick (1 social, 2 random walk), skin = 2 * reach * moves and span =
-    reach + skin. `listed` holds the (i, partners) lists of the pairs closer
+    reach + skin. A held list is the (i, partners) lists of the pairs closer
     than `span` when it was built, from a second grid (`wide`) with cell
     `span`, and `slack` what it can still absorb. A pair missing from the
     list was at least `span` apart and has closed by less than `skin`: it
@@ -505,9 +510,9 @@ class _Index:
     less, and serves.
     """
 
-    __slots__ = ("params", "grid", "cut", "trig", "frozen", "xs", "ys",
+    __slots__ = ("params", "grid", "cut", "trig", "held", "xs", "ys",
                  "wide", "cap", "moves", "skin", "ulp", "arc", "known",
-                 "step", "listed", "slack")
+                 "step", "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -517,7 +522,7 @@ class _Index:
         reach = max(self.cut, p.collision_radius)
         self.grid = SpatialGrid(w, h, reach)
         self.trig: dict[float, tuple[float, float]] = {}
-        self.frozen: StaticCache | None = None
+        self.held: StaticCache | list[tuple[int, list[int]]] | None = None
         self.xs: list[float] | None = None
         self.ys: list[float] | None = None
         self.moves = 1.0 if social else 2.0
@@ -529,41 +534,32 @@ class _Index:
         self.ulp = 4.0 * math.ulp(max(w, h))
         self.arc = 0.0
         self.known = 0  # the trig memo's size when `arc` was last taken
-        self.listed: list[tuple[int, list[int]]] | None = None
         self.slack = 0.0
 
-    def source(self, moved: list[int], xs: list[float],
-               ys: list[float]) -> bool:
-        """Whether the StaticCache serves a tick whose agents start it at
-        (xs, ys), of which `moved` have a nonzero speed: at least half
-        stopped. Drops the state of the other sources, and keeps the cache
-        or list it holds only while every agent is where the last tick left
-        it: a caller may edit the world."""
-        cached = 2 * len(moved) <= len(xs)
-        if cached:
-            self.listed = None
-        else:
-            self.frozen = None
-        if ((self.frozen is not None or self.listed is not None)
-                and (xs != self.xs or ys != self.ys)):
-            self.frozen = self.listed = None
-        # the move kernel moves these with the agents
-        self.xs = xs
-        self.ys = ys
-        return cached
+    def source(self, xs: list[float], ys: list[float]) -> bool:
+        """Whether the agents start this tick at (xs, ys) where the last
+        tick left them, the recorded snapshot; drops the held source unless
+        so: a caller may edit the world. The move kernels write the same
+        float objects into the agents and the snapshot, so the compare runs
+        by identity."""
+        if xs != self.xs or ys != self.ys:
+            self.held = None
+            return False
+        return True
 
-    def pairs(self, cached: bool, xs: list[float], ys: list[float],
-              speeds: list[float], moved: list[int]
-              ) -> tuple[set[tuple[int, int]], list[int]]:
+    def pairs(self, xs: list[float], ys: list[float], speeds: list[float],
+              moved: list[int]) -> tuple[set[tuple[int, int]], list[int]]:
         """SpatialGrid.scan's pairs and nearest ids at the agents' new
-        positions `xs`/`ys`, from the cache if `cached`, else from the list
-        or the grid pass; `speeds` are those the tick started with and
-        `moved` the agents with a nonzero one."""
+        positions `xs`/`ys`; `speeds` are those the tick started with and
+        `moved` the agents with a nonzero one. The only code that picks the
+        source: the cache with at least half stopped, else the list or the
+        grid pass; `held` keeps what it picked."""
         radius, cut = self.params.collision_radius, self.cut
-        if cached:
-            if self.frozen is None:
-                self.frozen = StaticCache(self.grid, xs, ys)
-            return self.frozen.scan(speeds, moved, xs, ys, radius, cut)
+        held = self.held
+        if 2 * len(moved) <= len(xs):
+            if not isinstance(held, StaticCache):
+                held = self.held = StaticCache(self.grid, xs, ys)
+            return held.scan(speeds, moved, xs, ys, radius, cut)
         lo = min(speeds)
         top = max(max(speeds), -lo)
         if lo < 0.0:
@@ -576,23 +572,23 @@ class _Index:
         # without its cancellation
         step = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
         step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)
-        if self.listed is not None and self.slack >= step:
+        if isinstance(held, list) and self.slack >= step:
             self.slack -= step
         elif 2.0 * step <= self.skin and len(xs) <= self.cap:
             # the pairs closer than reach + skin, listed by their lower id
             partners: dict[int, list[int]] = {}
             for i, j in self.wide.scan(xs, ys, self.wide.cell_size, -1.0)[0]:
                 partners.setdefault(i, []).append(j)
-            self.listed = list(partners.items())
+            held = self.held = list(partners.items())
             # less a share for the rounding of the distances themselves
             self.slack = self.skin * (1.0 - 1e-9)
         else:
-            self.listed = None
+            self.held = None
             return self.grid.scan(xs, ys, radius, cut)
         n = len(xs)
         pairs: set[tuple[int, int]] = set()
         near = [-1] * n
-        _measure(self.listed, xs, ys, self.grid.width, self.grid.height, radius,
+        _measure(held, xs, ys, self.grid.width, self.grid.height, radius,
                  cut, pairs, [math.inf] * n, near)
         return pairs, near
 
@@ -637,15 +633,32 @@ def tick(world: WorldState) -> WorldState:
                     raise ValueError(f"agent {a.id} has a non-finite {field} {value!r}")
     xs = [a.x for a in agents]
     ys = [a.y for a in agents]
+    if not index.source(xs, ys):
+        # a first tick, new params or a caller's edit: the move kernels keep
+        # every agent on the torus, but a caller need not. min and max skip
+        # a nan after the first element; the sum does not
+        w, h = p.world_width, p.world_height
+        if xs and not (0.0 <= min(xs) and max(xs) < w
+                       and 0.0 <= min(ys) and max(ys) < h
+                       and math.isfinite(sum(xs) + sum(ys))):
+            for a in agents:
+                for field, top in (("x", w), ("y", h)):
+                    value = getattr(a, field)
+                    if not 0.0 <= value < top:
+                        raise ValueError(f"agent {a.id} has {field} {value!r} "
+                                         f"outside [0, {top!r})")
+    # only once the positions passed: the move kernel moves these with the
+    # agents, and the next tick compares with them
+    index.xs = xs
+    index.ys = ys
     # the agents with a nonzero speed: 0.0 and -0.0 are false
     moved = list(compress(range(len(agents)), speeds))
-    cached = index.source(moved, xs, ys)
     social = p.scenario is Scenario.ALL_SOCIAL_AVS
     if social:
         _social_move(agents, speeds, moved, xs, ys, index.trig, p)
     else:
         _random_move(agents, speeds, xs, ys, index.trig, p, world.rng)
-    now, near = index.pairs(cached, xs, ys, speeds, moved)
+    now, near = index.pairs(xs, ys, speeds, moved)
     if social:
         world.last_actions = _decide(agents, speeds, headings, near, p)
     else:

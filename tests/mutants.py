@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FUSED = "tests/test_fused.py::"
+POSITIONS = ("tests/test_engine.py::TestTick::"
+             "test_position_off_the_torus_names_the_agent")
 PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
             "test_partners_list_each_adjacent_pair_once")
 
@@ -58,25 +60,26 @@ MUTANTS = (
          FUSED + "test_static_cache_flock_crosses_half_both_ways")),
     Mutant(
         "source_compares_x_only", "src/avflock/engine.py",
-        "                and (xs != self.xs or ys != self.ys)):\n",
-        "                and xs != self.xs):\n",
+        "        if xs != self.xs or ys != self.ys:\n",
+        "        if xs != self.xs:\n",
         (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
          FUSED + "test_static_cache_follows_caller_edits[stop_at_top]")),
     Mutant(
         "source_keeps_a_moved_list", "src/avflock/engine.py",
-        "            self.frozen = self.listed = None\n",
-        "            self.frozen = None\n",
+        "            self.held = None\n"
+        "            return False\n",
+        "            return False\n",
         (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
          FUSED + "test_list_follows_caller_edits[move]")),
     Mutant(
-        "source_compares_with_nothing_held", "src/avflock/engine.py",
-        "        if ((self.frozen is not None or self.listed is not None)\n"
-        "                and (xs != self.xs or ys != self.ys)):\n",
-        "        if xs != self.xs or ys != self.ys:\n",
-        (FUSED + "test_source_drops_the_state_of_the_others",)),
+        "held_list_reused_as_the_cache", "src/avflock/engine.py",
+        "            if not isinstance(held, StaticCache):\n",
+        "            if held is None:\n",
+        (FUSED + "test_source_drops_the_state_of_the_others",
+         FUSED + "test_list_hands_over_to_the_cache_and_back")),
     Mutant(
         "grid_keeps_the_list", "src/avflock/engine.py",
-        "            self.listed = None\n"
+        "            self.held = None\n"
         "            return self.grid.scan(xs, ys, radius, cut)\n",
         "            return self.grid.scan(xs, ys, radius, cut)\n",
         (FUSED + "test_source_drops_the_state_of_the_others",)),
@@ -90,15 +93,17 @@ MUTANTS = (
         "        a.x = 0.0 if x >= w else x\n",
         (FUSED + "test_fused_tick_equals_oracle_after_every_tick[plain]",)),
     Mutant(
-        "far_without_rounding_factor", "src/avflock/engine.py",
-        "    far = max(radius, cut) * (1.0 + 1e-9)\n",
+        "far_below_the_reach", "src/avflock/engine.py",
         "    far = max(radius, cut)\n",
+        "    far = max(radius, cut) * (1.0 - 1e-9)\n",
         (FUSED + "test_fused_pass_equals_brute_force",
          FUSED + "test_list_exact_ties",
-         FUSED + "test_static_cache_exact_ties_and_cut"),
-        "equivalent: hypot is faithfully rounded, so it is never below "
-        "max(dx, dy), and a pair with dx or dy beyond max(radius, cut) is "
-        "outside both anyway"),
+         FUSED + "test_static_cache_exact_ties_and_cut")),
+    Mutant(
+        "grid_without_rounding_allowance", "src/avflock/engine.py",
+        "        wide = cell_size + 4.0 * math.ulp(max(width, height))\n",
+        "        wide = cell_size\n",
+        (FUSED + "test_fused_pass_equals_brute_force",)),
     Mutant(
         "around_interior_strict_lower_bound", "src/avflock/engine.py",
         "            # no key passes on a grid with fewer than 3 cells on an axis\n"
@@ -144,8 +149,8 @@ MUTANTS = (
         (FUSED + "test_source_takes_each_bound_inclusively",)),
     Mutant(
         "held_list_serves_without_slack", "src/avflock/engine.py",
-        "        if self.listed is not None and self.slack >= step:\n",
-        "        if self.listed is not None:\n",
+        "        if isinstance(held, list) and self.slack >= step:\n",
+        "        if isinstance(held, list):\n",
         (FUSED + "test_source_takes_each_bound_inclusively",
          FUSED + "test_list_serves_several_ticks_and_rebuilds_on_slack")),
     Mutant(
@@ -165,6 +170,25 @@ MUTANTS = (
         "    if not math.isfinite(sum(speeds)):\n",
         ("tests/test_engine.py::TestTick::"
          "test_non_finite_heading_names_the_agent",)),
+    Mutant(
+        "position_check_skips_y", "src/avflock/engine.py",
+        "                       and 0.0 <= min(ys) and max(ys) < h\n", "",
+        (POSITIONS,)),
+    Mutant(
+        "position_check_without_upper_bound", "src/avflock/engine.py",
+        "        if xs and not (0.0 <= min(xs) and max(xs) < w\n"
+        "                       and 0.0 <= min(ys) and max(ys) < h\n",
+        "        if xs and not (0.0 <= min(xs)\n"
+        "                       and 0.0 <= min(ys)\n",
+        (POSITIONS,)),
+    Mutant(
+        "snapshot_recorded_before_the_check", "src/avflock/engine.py",
+        "    if not index.source(xs, ys):\n",
+        "    kept = index.source(xs, ys)\n"
+        "    index.xs = xs\n"
+        "    index.ys = ys\n"
+        "    if not kept:\n",
+        (POSITIONS,)),
     Mutant(
         "partners_slice_includes_the_cell", "src/avflock/engine.py",
         "                    after = edges[key] = hood[hood.index(key) + 1:]\n",

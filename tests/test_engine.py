@@ -34,6 +34,22 @@ def world_at(positions, params=None, headings=None, speeds=None):
     return WorldState(agents=agents, params=params, rng=random.Random(0))
 
 
+def _ticked_once(scenario, speed, source) -> WorldState:
+    """A 20 + 20 world after one tick, every agent at `speed` unless it is
+    None, whose next tick `source` serves: checked on a copy."""
+    world = setup(SimParams(n_red=20, n_black=20, scenario=scenario), 1)
+    tick(world)
+    if speed is not None:  # 5 is past the held list's slack: too fast for any list
+        for a in world.agents:
+            a.speed = speed
+    control = copy.deepcopy(world)
+    tick(control)
+    held = control.index.held
+    assert {"cache": isinstance(held, engine.StaticCache),
+            "list": isinstance(held, list), "grid": held is None}[source]
+    return world
+
+
 class TestSetup:
     def test_bit_identical_for_same_seed(self):
         w1 = setup(TABLE1, seed=7)
@@ -219,19 +235,53 @@ class TestTick:
                                                 source):
         # before any agent moves, on a tick the list or the grid pass would
         # serve: a list measures only its listed pairs, and would run on
-        world = setup(SimParams(n_red=20, n_black=20, scenario=scenario), 1)
-        tick(world)
-        if speed is not None:  # past the held list's slack: too fast for any list
-            for a in world.agents:
-                a.speed = speed
-        control = copy.deepcopy(world)
-        tick(control)
-        assert (control.index.listed is None) == (source == "grid")
+        world = _ticked_once(scenario, speed, source)
         world.agents[at].heading = value
         before = copy.deepcopy(world.agents)
         with pytest.raises(ValueError, match=f"^agent {at} has a non-finite heading"):
             tick(world)
         assert world.agents == before and world.tick == 1
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("value", ["side", "below_zero", "nan", "inf",
+                                       "side_plus_100"])
+    @pytest.mark.parametrize("at", [0, 39])
+    @pytest.mark.parametrize("speed, source", [(0.0, "cache"), (None, "list"),
+                                               (5.0, "grid")])
+    def test_position_off_the_torus_names_the_agent(self, scenario, field, value,
+                                                    at, speed, source):
+        # a caller's edit, checked before any agent moves, whichever source
+        # the tick would take and whether or not the agent moves: the cache
+        # and the list measure only some pairs, and a key off the grid wraps
+        world = _ticked_once(scenario, speed, source)
+        side = 100.0
+        assert world.params.world_width == world.params.world_height == side
+        setattr(world.agents[at], field, {
+            "side": side, "below_zero": -1e-9, "nan": math.nan, "inf": math.inf,
+            "side_plus_100": side + 100.0}[value])
+        before = copy.deepcopy(world.agents)
+        for _ in range(2):  # the bad positions are not taken as the last tick's
+            with pytest.raises(ValueError,
+                               match=fr"^agent {at} has {field} .* outside \[0, 100\.0\)$"):
+                tick(world)
+            assert world.agents == before and world.tick == 1
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nextafter(100.0, 0.0)])
+    @pytest.mark.parametrize("at", [0, 39])
+    def test_position_on_the_torus_edge_still_ticks(self, scenario, field, value, at):
+        world = _ticked_once(scenario, None, "list")
+        setattr(world.agents[at], field, value)
+        tick(world)
+        tick(world)
+        assert world.tick == 3
+
+    def test_empty_world_ticks(self):
+        world = WorldState(agents=[], params=TABLE1, rng=random.Random(0))
+        tick(world)
+        assert world.tick == 1 and world.collisions_per_tick == [0]
 
     def test_finite_headings_whose_sum_overflows_still_tick(self):
         world = world_at([(10.0, 10.0), (60.0, 60.0)], headings=[1.7e308, 1.7e308])
@@ -437,7 +487,8 @@ class TestSpatialGrid:
         agents = [AgentState(id=i, team=Team.RED, x=cx + rng.uniform(0.05, 0.95),
                              y=cy + rng.uniform(0.05, 0.95), heading=0.0, speed=0.0)
                   for i, (cx, cy) in enumerate(cell_of)]
-        grid = SpatialGrid(float(nx), float(ny), 1.0)
+        # a cell a hair under 1 m: cells are a rounding allowance wider
+        grid = SpatialGrid(float(nx), float(ny), 0.999)
         assert (grid.nx, grid.ny) == (nx, ny)
         grid.rebuild([a.x for a in agents], [a.y for a in agents])
         keys = range(nx * ny)
@@ -460,7 +511,8 @@ class TestSpatialGrid:
         agents = [AgentState(id=i, team=Team.RED, x=cx + rng.uniform(0.05, 0.95),
                              y=cy + rng.uniform(0.05, 0.95), heading=0.0, speed=0.0)
                   for i, (cx, cy) in enumerate(cell_of)]
-        grid = SpatialGrid(float(nx), float(ny), 1.0)
+        # a cell a hair under 1 m: cells are a rounding allowance wider
+        grid = SpatialGrid(float(nx), float(ny), 0.999)
         assert (grid.nx, grid.ny) == (nx, ny)
         grid.rebuild([a.x for a in agents], [a.y for a in agents])
         listed = sorted((min(i, j), max(i, j))

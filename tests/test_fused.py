@@ -9,13 +9,15 @@ cases of the pass: grids with fewer than 3 cells per axis, a safety
 distance beyond the sonar range, sonar 0, agents at identical positions,
 exact equal-distance ties, and a slow, sparse flock.
 
-A tick of either scenario takes its pairs from one of three sources:
-StaticCache (at least half the flock stopped, which _Index.source tests),
+A tick of either scenario takes its pairs from one of three sources, all
+picked in _Index.pairs: StaticCache (at least half the flock stopped),
 else the neighbor list while it covers the step it is charged, or the grid
-pass (both picked in _Index.pairs). One audit wraps
+pass. _Index.held keeps the cache or the list across ticks, and
+_Index.source drops it after a caller's edit. One audit wraps
 _Index.pairs, the one pair step: after every tick it checks the pairs and
 nearest ids against a fresh scan of the agents and an O(n^2) reference,
-whatever served them, and records the source; on a list tick it checks
+whatever served them, and records the source, which it reads off the kind
+of `held`; on a list tick it checks
 that no two agents moved relative to each other by more than the list was
 charged, and that the charge is the one formula's value. The bounds are
 tested on _Index.source and _Index.pairs themselves. The tests after
@@ -230,6 +232,11 @@ def test_fused_pass_equals_brute_force():
                 ys.append(rng.uniform(0.0, h))
         grid = SpatialGrid(w, h, max(cut, radius))
         assert grid.scan(xs, ys, radius, cut) == _brute_force(xs, ys, w, h, radius, cut)
+    # on a world a whole number of cells wide, a distance that rounds down
+    # onto the cut between agents whose keys are two cells apart
+    xs, ys = [1.25, 1.25], [2.0, 0.9999999999999999]
+    assert (SpatialGrid(16.0, 12.0, 1.0).scan(xs, ys, 0.5, 1.0)
+            == _brute_force(xs, ys, 16.0, 12.0, 0.5, 1.0) == (set(), [1, 0]))
 
 
 def _brute_force(xs, ys, w, h, radius, cut):
@@ -310,7 +317,8 @@ def test_scan_rejects_reach_beyond_cell():
 # the move kernel left the agents, checks each tick against a fresh
 # fine-grid scan of the agents' own positions and _brute_force, checks a
 # held list's charge against the agents' largest relative move, records the
-# source served, and counts the corner cases the ticks met, so
+# source served (the kind of `held` after the pair step, which must match
+# the tick's stopped share), and counts the corner cases the ticks met, so
 # each test can show that it reached them. A later source is audited by the
 # same code.
 
@@ -328,13 +336,15 @@ class _Audit:
         # a second audit would wrap the first and audit each tick twice
         assert pair_step.__qualname__ == "_Index.pairs", "already audited"
 
-        def audited(index, cached, xs, ys, speeds, moved):
-            cache, listed, slack = index.frozen, index.listed, index.slack
+        def audited(index, xs, ys, speeds, moved):
+            held, slack = index.held, index.slack
+            listed = held if isinstance(held, list) else None
             # StaticCache.scan edits the cache in place
-            before = cache and (cache.static[:], cache.near[:], set(cache.pairs),
-                                cache.cells[:])
-            got = pair_step(index, cached, xs, ys, speeds, moved)
-            source = _served(index, cached)
+            before = isinstance(held, engine.StaticCache) and (
+                held.static[:], held.near[:], set(held.pairs), held.cells[:])
+            got = pair_step(index, xs, ys, speeds, moved)
+            source = _served(index)
+            assert (source == "cache") == (2 * len(moved) <= len(xs))
             self.sources.append(source)
             self.seen[source] += 1
             agents = self.world.agents  # None: ticked without the audit's tick
@@ -358,9 +368,9 @@ class _Audit:
             assert ({k: sorted(b) for k, b in index.grid.buckets.items()}
                     == {k: sorted(b) for k, b in ref.buckets.items()})
             if source == "cache":
-                if index.frozen is not cache:  # a new cache: none static yet
+                if index.held is not held:  # a new cache: none static yet
                     before = ([False] * len(xs), [-1] * len(xs), set(), None)
-                self._cache(index.frozen, before, speeds, xs, ys, index.cut)
+                self._cache(index.held, before, speeds, xs, ys, index.cut)
             return got
 
         monkeypatch.setattr(engine._Index, "pairs", audited)
@@ -409,7 +419,7 @@ class _Audit:
 
     def _list(self, index, listed, slack, speeds, xs, ys, p):
         seen = self.seen
-        built = index.listed is not listed
+        built = index.held is not listed
         seen["built" if built else "served"] += 1
         step = index.step
         # the one charge, from the speeds and the memo after the move
@@ -452,9 +462,12 @@ class _Audit:
         seen["charge_new_heading"] += any(hd not in self.memo for hd in movers)
 
 
-def _served(index, cached: bool) -> str:
-    """The source that served the pair step `index` just took."""
-    return "cache" if cached else "grid" if index.listed is None else "list"
+def _served(index) -> str:
+    """The source that served the pair step `index` just took, by the kind
+    of what it holds after it."""
+    if isinstance(index.held, engine.StaticCache):
+        return "cache"
+    return "grid" if index.held is None else "list"
 
 
 def _step(index, speeds) -> float:
@@ -498,8 +511,8 @@ def _audited(monkeypatch, worlds, ticks: int = 1000, ties: bool = False):
     return audit.seen, collections.Counter(zip(audit.sources, audit.sources[1:]))
 
 
-# The bounds. _Index.source serves the cache from exactly half stopped; past
-# that, _Index.pairs serves a held list while its slack covers the tick's
+# The bounds. _Index.pairs serves the cache from exactly half stopped; past
+# that, it serves a held list while its slack covers the tick's
 # step, builds a new one up to exactly 2 * step == skin (it lasts two ticks)
 # and up to `cap` agents of the world it serves, and takes the grid pass past
 # either bound, in both scenarios.
@@ -535,12 +548,12 @@ def test_source_takes_each_bound_inclusively():
             """The source of a tick from `speeds` whose agents sit at the
             origin, where the last tick left them, with list `held` and its
             slack, if given, held."""
-            index.listed, index.slack = held or (None, 0.0)
+            index.held, index.slack = held or (None, 0.0)
             zeros = index.xs = index.ys = [0.0] * len(speeds)
             moved = [i for i, sp in enumerate(speeds) if sp]
-            cached = index.source(moved, zeros, zeros[:])
-            index.pairs(cached, zeros, zeros[:], speeds, moved)
-            return _served(index, cached)
+            assert index.source(zeros, zeros[:]) is True
+            index.pairs(zeros, zeros[:], speeds, moved)
+            return _served(index)
 
         assert source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
         assert source([0.0, q, q, q]) == "list"
@@ -555,12 +568,12 @@ def test_source_takes_each_bound_inclusively():
         held = [(0, [1])]
         step = _step(index, [0.0, above])
         assert source([0.0, above, q, q], (held, step)) == "list"
-        assert index.listed is held and index.slack == 0.0
+        assert index.held is held and index.slack == 0.0
         assert source([0.0, above, q, q],
                       (held, math.nextafter(step, 0.0))) == "grid"
         step = _step(index, [0.0, q])
         assert source([0.0, q, q, q], (held, math.nextafter(step, 0.0))) == "list"
-        assert index.listed is not held  # a new list
+        assert index.held is not held  # a new list
         assert index.slack == skin * (1.0 - 1e-9)
 
 
@@ -579,25 +592,32 @@ class _Compared(list):
 
 
 def test_source_drops_the_state_of_the_others():
+    # `held` is one slot: the pair step replaces a held list with a cache
+    # and a held cache with a list, and a grid tick drops either
     index = engine._Index(SimParams())
     xs, ys = [1.0, 2.0], [3.0, 4.0]
+    engine._sincos(index.trig, 90.0)  # the movers' heading
+    index.held = [(0, [1])]
     # agent 1 moves: half stopped
-    assert index.source([1], xs, ys) is True  # where the agents are
-    held = index.frozen = index.listed = object()
-    assert index.source([1], xs[:], ys[:]) is True
-    assert (index.frozen, index.listed) == (held, None)
-    index.listed = held
-    assert index.source([0, 1], xs[:], ys[:]) is False
-    assert (index.frozen, index.listed) == (None, held)
+    index.pairs(xs, ys, [0.0, 0.3], [1])
+    held = index.held
+    assert isinstance(held, engine.StaticCache)
+    index.pairs(xs, ys, [0.0, 0.3], [1])
+    assert index.held is held
+    index.pairs(xs, ys, [0.3, 0.3], [0, 1])
+    held = index.held
+    assert isinstance(held, list)
+    index.pairs(xs, ys, [0.3, 0.3], [0, 1])
+    assert index.held is held
     # a grid tick drops the list, so that no state outlives it, and the
-    # next tick, holding none, compares no positions
-    engine._sincos(index.trig, 90.0)
-    index.pairs(False, xs, ys, [9.0, 0.3], [0, 1])
-    assert (index.frozen, index.listed) == (None, None)
+    # next tick, holding none, still compares the positions, each axis once
+    index.pairs(xs, ys, [9.0, 0.3], [0, 1])
+    assert index.held is None
+    index.xs, index.ys = xs, ys  # as `tick` records them
     now = _Compared(xs), _Compared(ys)
-    assert index.source([0, 1], *now) is False
-    assert (index.frozen, index.listed) == (None, None)
-    assert [v.count for v in now] == [0, 0]
+    assert index.source(*now) is True
+    assert index.held is None
+    assert [v.count for v in now] == [1, 1]
 
 
 @pytest.mark.parametrize("speeds, source, state", [
@@ -605,13 +625,18 @@ def test_source_drops_the_state_of_the_others():
 @pytest.mark.parametrize("edit", [None, "x", "y"])
 def test_source_holds_state_only_where_the_last_tick_left_the_agents(
         speeds, source, state, edit):
+    # `state` names what the tick at `speeds` leaves held: the cache of the
+    # frozen agents or the listed pairs
     index = engine._Index(SimParams())
-    cached = source == "cache"
     moved = [i for i, sp in enumerate(speeds) if sp]
     xs, ys = [1.0, 2.0, 5.0], [3.0, 4.0, 5.0]
-    assert index.source(moved, xs, ys) is cached
-    held = object()
-    setattr(index, state, held)
+    assert index.source(xs, ys) is False  # nothing recorded: a first tick
+    index.xs, index.ys = xs, ys  # as `tick` records them
+    engine._sincos(index.trig, 90.0)  # the movers' heading
+    index.pairs(xs, ys, speeds, moved)
+    assert _served(index) == source
+    held = index.held
+    assert {"frozen": engine.StaticCache, "listed": list}[state] is type(held)
     # the move kernel moves the snapshot the tick took, in place
     xs[2] += 0.3
     ys[2] -= 0.3
@@ -620,8 +645,8 @@ def test_source_holds_state_only_where_the_last_tick_left_the_agents(
         now[0][0] = math.nextafter(xs[0], 0.0)
     elif edit == "y":  # or another along y alone
         now[1][1] = math.nextafter(ys[1], math.inf)
-    assert index.source(moved, *now) is cached
-    assert getattr(index, state) is (held if edit is None else None)
+    assert index.source(*now) is (edit is None)
+    assert index.held is (held if edit is None else None)
     assert max(v.count for v in now) <= 1  # each axis compared at most once
 
 
@@ -913,11 +938,12 @@ def test_list_serves_the_fast_social_flock(monkeypatch):
     served = collections.Counter()
     pair_step = engine._Index.pairs
 
-    def counted(index, cached, *args):
-        listed = index.listed
-        got = pair_step(index, cached, *args)
-        served[_served(index, cached)] += 1
-        served["built"] += index.listed is not None and index.listed is not listed
+    def counted(index, *args):
+        held = index.held
+        got = pair_step(index, *args)
+        source = _served(index)
+        served[source] += 1
+        served["built"] += source == "list" and index.held is not held
         return got
 
     monkeypatch.setattr(engine._Index, "pairs", counted)
@@ -1061,7 +1087,7 @@ def test_list_bounds_a_negative_speed_by_its_size():
     fused, ref = _hand_made(_HEAD_ON_AFTER_REVERSING)
     for t in range(8):
         if t == 1:  # after the first list is built, 3.05 m apart
-            assert fused.index.listed == []
+            assert fused.index.held == []
             fused.agents[0].speed = ref.agents[0].speed = -0.45
         tick(fused)
         oracle_tick(ref)
