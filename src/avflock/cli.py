@@ -184,10 +184,7 @@ def cmd_compare(args) -> int:
     rnd = replace(social, scenario=Scenario.RANDOM_WALK)
     spec = ExperimentSpec("compare", (social, rnd),
                           repetitions=args.reps, base_seed=args.base_seed)
-    rows = run_experiment(spec, jobs=args.jobs)
-    by_scenario = {r.scenario: r for r in rows}
-    s = by_scenario[Scenario.ALL_SOCIAL_AVS]
-    r = by_scenario[Scenario.RANDOM_WALK]
+    s, r = run_experiment(spec, jobs=args.jobs)  # social first
     print(f"configuration: {social.n_red} red + {social.n_black} black, "
           f"{social.ticks} ticks, {args.reps} paired replicates")
     for row in (s, r):

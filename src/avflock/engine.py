@@ -72,15 +72,32 @@ from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,  # noqa
 _MAX_CELLS = 1 << 30  # of a SpatialGrid, per axis and per metre
 
 
+def _scale(n: int, side: float) -> float:
+    """The factor keying a coordinate in [0, side) to one of `n` cells:
+    n / side, lowered by an ulp while nextafter(side, 0) would key to n.
+    Rounded multiplication is monotone, so then no coordinate does. A single
+    cell takes 0: n / side is inf on a world narrower than about 5.6e-309 m,
+    and 0.0 * inf is nan."""
+    if n == 1:
+        return 0.0
+    scale = n / side
+    while math.nextafter(side, 0.0) * scale >= n:
+        scale = math.nextafter(scale, 0.0)
+    return scale
+
+
 class SpatialGrid:
     """Uniform bucket grid over the torus for broad-phase neighbor queries.
 
-    Cells are at least `cell_size` + 4 ulp(max(width, height)) wide, so any
-    query with radius at most cell_size is answered from the 3x3 wrapped
-    cell neighborhood: two agents whose cells are two apart are more than
-    cell_size apart even as computed, after the rounding of their keys and
-    of their distance. The grid is a pure accelerator: results must match a
-    full O(n^2) scan exactly.
+    Each axis has as many cells as fit `cell_size` + `ulp` wide, `ulp` being
+    the world's rounding allowance, 4 ulp(max(width, height)), and one
+    `_scale` keys every position on the torus to one of them. Rounding the
+    scale and the keys takes under half of `ulp`: every cell, the last one
+    included, is wider than cell_size + 2 ulp(side). A computed wrapped dx
+    is at most about 1 ulp(side) below the true one and hypot is never below
+    max(dx, dy), so two agents whose cells are two apart are beyond any
+    reach up to cell_size: the 3x3 wrapped neighborhood answers the query.
+    The grid is a pure accelerator: results must match an O(n^2) scan.
     """
 
     def __init__(self, width: float, height: float, cell_size: float):
@@ -89,15 +106,14 @@ class SpatialGrid:
         self.width = width
         self.height = height
         self.cell_size = cell_size
-        wide = cell_size + 4.0 * math.ulp(max(width, height))
+        self.ulp = 4.0 * math.ulp(max(width, height))
+        wide = cell_size + self.ulp
         # capped, so that a tiny cell_size or world keeps the count and the
         # scales below finite; fewer, wider cells answer the same queries
         self.nx = max(1, int(min(width / wide, _MAX_CELLS, width * _MAX_CELLS)))
         self.ny = max(1, int(min(height / wide, _MAX_CELLS, height * _MAX_CELLS)))
-        # nx / width is inf for a single cell on a world narrower than
-        # about 5.6e-309 m, and 0.0 * inf is nan; scale 0 keys all to cell 0
-        self._sx = self.nx / width if self.nx > 1 else 0.0
-        self._sy = self.ny / height if self.ny > 1 else 0.0
+        self._sx = _scale(self.nx, width)
+        self._sy = _scale(self.ny, height)
         self.buckets: dict[int, list[int]] = {}
         self._rings: dict[int, tuple[int, ...]] = {}
         # the larger keys of each wrapping ring `_partners` has read:
@@ -108,16 +124,10 @@ class SpatialGrid:
         """Re-bucket every agent by its wrapped position (xs[i], ys[i])."""
         buckets = self.buckets
         buckets.clear()
-        nx, ny = self.nx, self.ny
+        ny = self.ny
         sx, sy = self._sx, self._sy
         for i in range(len(xs)):
-            cx = int(xs[i] * sx)
-            cy = int(ys[i] * sy)
-            if cx >= nx:  # canonical x < width, but the product can round up
-                cx = nx - 1
-            if cy >= ny:
-                cy = ny - 1
-            key = cx * ny + cy
+            key = int(xs[i] * sx) * ny + int(ys[i] * sy)
             b = buckets.get(key)
             if b is None:
                 buckets[key] = [i]
@@ -126,31 +136,19 @@ class SpatialGrid:
 
     def key(self, x: float, y: float) -> int:
         """The bucket key of the cell holding the wrapped position (x, y)."""
-        cx = int(x * self._sx)
-        cy = int(y * self._sy)
-        if cx >= self.nx:  # canonical x < width, but the product can round up
-            cx = self.nx - 1
-        if cy >= self.ny:
-            cy = self.ny - 1
-        return cx * self.ny + cy
+        return int(x * self._sx) * self.ny + int(y * self._sy)
 
     def move(self, ids: list[int], cells: list[int], xs: list[float],
              ys: list[float]) -> None:
         """Re-bucket agents `ids` at their new positions in `xs`/`ys`.
         `cells` holds every agent's current key and is updated in place."""
         buckets = self.buckets
-        nx, ny = self.nx, self.ny
+        ny = self.ny
         sx, sy = self._sx, self._sy
         for i in ids:
             # SpatialGrid.key, inline: a call per mover costs more than the
             # arithmetic
-            cx = int(xs[i] * sx)
-            cy = int(ys[i] * sy)
-            if cx >= nx:
-                cx = nx - 1
-            if cy >= ny:
-                cy = ny - 1
-            key = cx * ny + cy
+            key = int(xs[i] * sx) * ny + int(ys[i] * sy)
             old = cells[i]
             if key != old:
                 b = buckets[old]
@@ -501,7 +499,8 @@ class _Index:
     chord * sqrt(lo * top))), chord = 2 sin(arc / 2). A negative speed moves
     an agent back, so it takes chord 2 and lo 0. The step is `moves` times
     that, plus a 1e-9 share of top for the rounding of the directions and
-    of the bound itself, plus 2 * `ulp` for the rounding of each move.
+    of the bound itself, plus twice the grid's rounding allowance
+    (SpatialGrid's `ulp`) for the rounding of each move.
 
     A held list serves while its slack covers the step. A new one is built
     only while it lasts two ticks at this step (2 * step <= skin) and the
@@ -511,8 +510,8 @@ class _Index:
     """
 
     __slots__ = ("params", "grid", "cut", "trig", "held", "xs", "ys",
-                 "wide", "cap", "moves", "skin", "ulp", "arc", "known",
-                 "step", "slack")
+                 "wide", "cap", "moves", "skin", "arc", "known", "step",
+                 "slack")
 
     def __init__(self, p: SimParams):
         self.params = p
@@ -531,7 +530,6 @@ class _Index:
         # span^2 would underflow to 0 for a tiny reach
         span = self.wide.cell_size
         self.cap = 2.0 * (w / span) * (h / span) / math.pi
-        self.ulp = 4.0 * math.ulp(max(w, h))
         self.arc = 0.0
         self.known = 0  # the trig memo's size when `arc` was last taken
         self.slack = 0.0
@@ -571,7 +569,7 @@ class _Index:
         # than (top, top). (s - s')^2 + chord^2 s s' is the law of cosines
         # without its cancellation
         step = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
-        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)
+        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.grid.ulp)
         if isinstance(held, list) and self.slack >= step:
             self.slack -= step
         elif 2.0 * step <= self.skin and len(xs) <= self.cap:

@@ -35,6 +35,7 @@ POSITIONS = ("tests/test_engine.py::TestTick::"
              "test_position_off_the_torus_names_the_agent")
 PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
             "test_partners_list_each_adjacent_pair_once")
+CLAIMS = "tests/test_experiments.py::TestSharedClaims::"
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,42 @@ MUTANTS = (
          FUSED + "test_static_cache_exact_ties_and_cut")),
     Mutant(
         "grid_without_rounding_allowance", "src/avflock/engine.py",
-        "        wide = cell_size + 4.0 * math.ulp(max(width, height))\n",
+        "        wide = cell_size + self.ulp\n",
         "        wide = cell_size\n",
         (FUSED + "test_fused_pass_equals_brute_force",)),
+    Mutant(
+        "scale_not_lowered", "src/avflock/engine.py",
+        "    while math.nextafter(side, 0.0) * scale >= n:\n"
+        "        scale = math.nextafter(scale, 0.0)\n", "",
+        ("tests/test_engine.py::TestSpatialGrid::"
+         "test_last_position_keys_to_the_last_cell",
+         FUSED + "test_fused_pass_equals_brute_force")),
+    Mutant(
+        "measure_radius_inclusive", "src/avflock/engine.py",
+        "            if d < radius:\n", "            if d <= radius:\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_list_exact_ties",
+         FUSED + "test_static_cache_exact_ties_and_cut")),
+    Mutant(
+        "measure_cut_strict", "src/avflock/engine.py",
+        "            if d <= cut:\n", "            if d < cut:\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_list_exact_ties",
+         FUSED + "test_static_cache_exact_ties_and_cut")),
+    Mutant(
+        "measure_tie_to_the_first_seen_at_i", "src/avflock/engine.py",
+        "                if d < best[i] or (d == best[i] and j < near[i]):\n",
+        "                if d < best[i]:\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_list_exact_ties",
+         FUSED + "test_static_cache_exact_ties_and_cut")),
+    Mutant(
+        "measure_tie_to_the_first_seen_at_j", "src/avflock/engine.py",
+        "                if d < best[j] or (d == best[j] and i < near[j]):\n",
+        "                if d < best[j]:\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_list_exact_ties",
+         FUSED + "test_static_cache_exact_ties_and_cut")),
     Mutant(
         "around_interior_strict_lower_bound", "src/avflock/engine.py",
         "            # no key passes on a grid with fewer than 3 cells on an axis\n"
@@ -128,13 +162,13 @@ MUTANTS = (
         (FUSED + "test_list_charge_covers_each_branch[new_heading]",)),
     Mutant(
         "charge_without_ulp", "src/avflock/engine.py",
-        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)\n",
+        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.grid.ulp)\n",
         "        step = self.step = self.moves * (step + 1e-9 * top)\n",
         (FUSED + "test_list_head_on_lanes[crawl]",)),
     Mutant(
         "charge_without_moves", "src/avflock/engine.py",
-        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.ulp)\n",
-        "        step = self.step = step + 1e-9 * top + 2.0 * self.ulp\n",
+        "        step = self.step = self.moves * (step + 1e-9 * top + 2.0 * self.grid.ulp)\n",
+        "        step = self.step = step + 1e-9 * top + 2.0 * self.grid.ulp\n",
         (FUSED + "test_list_charge_covers_each_branch[random_walk]",)),
     Mutant(
         "charge_negative_speed_on_the_arc", "src/avflock/engine.py",
@@ -211,6 +245,45 @@ MUTANTS = (
         "                    others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),\n",
         "                    others = [*get(key + 1, ()), *get(e, ()),\n",
         (PARTNERS,)),
+    Mutant(
+        "failed_run_leaves_the_counter", "src/avflock/experiments.py",
+        "            counter.value = len(order)\n"
+        "            raise\n",
+        "            raise\n",
+        (CLAIMS + "test_a_failure_in_the_caller_stops_the_worker",)),
+    Mutant(
+        "pool_of_jobs_workers", "src/avflock/experiments.py",
+        "    workers = min(jobs, len(tasks)) - 1\n",
+        "    workers = min(jobs, len(tasks))\n",
+        ("tests/test_experiments.py::TestRunExperiment::"
+         "test_pool_has_no_more_workers_than_runs",)),
+    Mutant(
+        "claim_past_the_end", "src/avflock/experiments.py",
+        "        if k >= len(order):\n", "        if k > len(order):\n",
+        ("tests/test_experiments.py::TestRunExperiment::"
+         "test_parallel_jobs_match_sequential",)),
+    Mutant(
+        "dead_worker_as_runtime_error", "src/avflock/experiments.py",
+        "            raise ChildProcessError(", "            raise RuntimeError(",
+        ("tests/test_cli.py::TestBadInput::test_dead_sweep_worker_is_one_error_line",)),
+    Mutant(
+        "claim_without_the_lock", "src/avflock/experiments.py",
+        "        with counter.get_lock():\n"
+        "            k = counter.value\n"
+        "            counter.value = k + 1\n",
+        "        k = counter.value\n"
+        "        counter.value = k + 1\n",
+        (CLAIMS + "test_every_run_starts_once",),
+        "survives: two processes then claim the same run in about 1 of 600 "
+        "claims, too rare for the stress test to catch reliably"),
+    Mutant(
+        "failed_worker_without_the_callback", "src/avflock/experiments.py",
+        "                for future in futures:\n"
+        "                    future.add_done_callback(stop_if_failed)\n", "",
+        ("tests/test_cli.py::TestBadInput::test_dead_sweep_worker_is_one_error_line",
+         CLAIMS + "test_a_failed_run_stops_every_process"),
+        "survives: the callback only shortens the caller's wait after a worker "
+        "dies, and no test times that wait"),
 )
 
 

@@ -22,6 +22,11 @@ from avflock.engine import (RunResult, SpatialGrid, detect_collisions, run,
 
 TABLE1 = SimParams()  # defaults mirror the slow benchmark profile
 RANDOM1 = dataclasses.replace(TABLE1, scenario=Scenario.RANDOM_WALK)
+# (width, height, cell size) of grids whose n / side keys nextafter(side, 0)
+# to n on each axis: their scales are lowered
+LOWERED = [(100.0, 100.0, 3.0), (6.8353003564519375, 7.8830994013644915, 1.0),
+           (7.8830994013644915, 6.8353003564519375, 1.0),
+           (436.0, 436.0, 22.94736842105263)]
 
 
 def world_at(positions, params=None, headings=None, speeds=None):
@@ -524,6 +529,52 @@ class TestSpatialGrid:
 
         assert listed == [(i, j) for i, j in itertools.combinations(range(len(agents)), 2)
                           if adjacent(cell_of[i], cell_of[j])]
+
+    @pytest.mark.parametrize("w, h, cell", LOWERED)
+    def test_last_position_keys_to_the_last_cell(self, w, h, cell):
+        grid = SpatialGrid(w, h, cell)
+        nx, ny = grid.nx, grid.ny
+        top_x, top_y = math.nextafter(w, 0.0), math.nextafter(h, 0.0)
+        # n / side keys the last position on each axis past the grid
+        assert (int(top_x * (nx / w)), int(top_y * (ny / h))) == (nx, ny)
+        xs, ys = [top_x, top_x, 0.0, 0.0], [top_y, 0.0, top_y, 0.0]
+        keys = [(nx - 1) * ny + ny - 1, (nx - 1) * ny, ny - 1, 0]
+        assert [grid.key(x, y) for x, y in zip(xs, ys)] == keys
+        grid.rebuild(xs, ys)
+        assert grid.buckets == {key: [i] for i, key in enumerate(keys)}
+        grid.rebuild([0.0] * 4, [0.0] * 4)
+        cells = [0] * 4
+        grid.move(range(4), cells, xs, ys)
+        assert cells == keys
+        assert grid.buckets == {key: [i] for i, key in enumerate(keys)}
+
+    def test_every_cell_is_wider_than_the_cell_and_two_ulp(self):
+        # the class's bound, the last cell included, on worlds a whole
+        # number of allowance-widened cells wide and on others
+        rng = random.Random(31)
+        worlds = [(w, cell) for w, _, cell in LOWERED]
+        for _ in range(300):
+            cell = rng.uniform(0.01, 30.0)
+            n = rng.randrange(2, 60)
+            side = n * (cell + 4.0 * math.ulp(n * cell)) if rng.random() < 0.5 else (
+                rng.uniform(cell, 60.0 * cell))
+            worlds.append((side, cell))
+
+        def first(grid, c):  # the least x of column c
+            x = c / grid._sx
+            while x > 0.0 and grid.key(x, 0.0) >= c * grid.ny:
+                x = math.nextafter(x, 0.0)
+            while grid.key(x, 0.0) < c * grid.ny:
+                x = math.nextafter(x, math.inf)
+            return x
+
+        for side, cell in worlds:
+            grid = SpatialGrid(side, side, cell)
+            if grid.nx == 1:  # the one cell is the whole axis
+                continue
+            edges = [first(grid, c) for c in range(grid.nx)] + [side]
+            assert min(b - a for a, b in zip(edges, edges[1:])) > (
+                cell + 2.0 * math.ulp(side)), (side, cell)
 
     def test_tiny_grid_neighborhoods_deduplicate(self):
         # 2x2 cells: the wrapped 3x3 stencil collapses without double counting

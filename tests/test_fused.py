@@ -237,6 +237,27 @@ def test_fused_pass_equals_brute_force():
     xs, ys = [1.25, 1.25], [2.0, 0.9999999999999999]
     assert (SpatialGrid(16.0, 12.0, 1.0).scan(xs, ys, 0.5, 1.0)
             == _brute_force(xs, ys, 16.0, 12.0, 0.5, 1.0) == (set(), [1, 0]))
+    # agents a few ulps from the edges of the first two and the last two
+    # cells, on grids whose scale is lowered so that the last position
+    # keys to the last cell
+    def near_an_edge(side, n):
+        x = rng.choice((1, 2, n - 2, n - 1, n)) * side / n
+        steps = rng.randrange(-8, 9)
+        for _ in range(abs(steps)):
+            x = math.nextafter(x, math.copysign(math.inf, steps))
+        x %= side
+        return 0.0 if x >= side else x
+
+    for w, h, cell in ((100.0, 100.0, 3.0), (6.8353003564519375, 7.8830994013644915, 1.0),
+                       (436.0, 436.0, 22.94736842105263)):
+        grid = SpatialGrid(w, h, cell)
+        for _ in range(200):
+            n = rng.randrange(2, 5)
+            xs = [near_an_edge(w, grid.nx) for _ in range(n)]
+            ys = [near_an_edge(h, grid.ny) for _ in range(n)]
+            radius = rng.choice((cell, rng.uniform(0.0, cell)))
+            cut = rng.choice((-1.0, cell, rng.uniform(0.0, cell)))
+            assert grid.scan(xs, ys, radius, cut) == _brute_force(xs, ys, w, h, radius, cut)
 
 
 def _brute_force(xs, ys, w, h, radius, cut):
@@ -483,7 +504,7 @@ def _step(index, speeds) -> float:
         gap = max(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 360.0]))
         chord = 2.0 * math.sin(math.radians(min(360.0 - gap, 180.0)) / 2.0)
     bound = max(chord * top, math.hypot(top - lo, chord * math.sqrt(lo * top)))
-    return index.moves * (bound + 1e-9 * top + 2.0 * index.ulp)
+    return index.moves * (bound + 1e-9 * top + 2.0 * index.grid.ulp)
 
 
 def _largest_relative_move(start, xs, ys, p):
@@ -524,7 +545,7 @@ def _fastest_listed(index) -> float:
     for hd in (90.0, 270.0):  # the memo's arc is then 180 degrees
         engine._sincos(index.trig, hd)
     # about where 2 * step == skin: step = moves * (2 q + 1e-9 q + 2 ulp)
-    q = (index.skin / (2.0 * index.moves) - 2.0 * index.ulp) / (2.0 + 1e-9)
+    q = (index.skin / (2.0 * index.moves) - 2.0 * index.grid.ulp) / (2.0 + 1e-9)
     while 2.0 * _step(index, [0.0, q]) <= index.skin:
         q = math.nextafter(q, math.inf)
     while 2.0 * _step(index, [0.0, q]) > index.skin:
