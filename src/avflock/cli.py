@@ -2,8 +2,9 @@
 relative-position trajectory dumps.
 
 The CLI is a thin shell over the library; it owns flag parsing, exit codes
-(0 ok, 2 usage error, 1 runtime failure) and file emission only. Data files
-carry no timestamps, so identical invocations produce identical bytes.
+(0 ok, 2 usage error, 1 runtime failure) and file emission only; the fields
+of SimParams (a run) and ExperimentSpec (a sweep) define the settings' flags.
+Data files carry no timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -36,19 +37,23 @@ def _flag_type(f, kind):
     return parse
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, exclude=()) -> None:
-    """One flag per SimParams field not in `exclude`.
+def _flag(f) -> str:
+    """Field `f`'s flag: its `flag` metadata, else `--field-name`."""
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, title: str, cls: type,
+                     exclude=()) -> None:
+    """A group `title` of one flag per field of dataclass `cls` not in `exclude`.
 
     Flags default to SUPPRESS, so the parsed namespace holds only the values
-    the user gave and SimParams supplies the rest.
+    the user gave (`_given`) and `cls` supplies the rest.
     """
-    g = parser.add_argument_group("simulation parameters",
-                                  argument_default=argparse.SUPPRESS)
-    for f, kind in typed_fields(SimParams):
+    g = parser.add_argument_group(title, argument_default=argparse.SUPPRESS)
+    for f, kind in typed_fields(cls):
         if f.name in exclude:
             continue
-        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
-        help_text = f.metadata.get("help")
+        flag, help_text = _flag(f), f.metadata.get("help")
         if kind is bool:
             g.add_argument(flag, dest=f.name, action="store_true", help=help_text)
             continue
@@ -61,10 +66,9 @@ def _add_param_flags(parser: argparse.ArgumentParser, exclude=()) -> None:
                        help=f"{help_text or ''} (default {default})".lstrip())
 
 
-def _params_from(args) -> SimParams:
-    """SimParams from the flags the user gave."""
-    return SimParams.from_given({f.name: getattr(args, f.name)
-                                 for f in fields(SimParams) if hasattr(args, f.name)})
+def _given(args, cls: type) -> dict:
+    """{field: value} of the `cls` fields whose flags the user gave."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
 
 
 def _default_jobs() -> int:
@@ -121,7 +125,7 @@ def _create(path: str):
 
 
 def cmd_run(args) -> int:
-    params = _params_from(args)
+    params = SimParams.from_given(_given(args, SimParams))
     with _outputs({"--out": args.out, "--trace": args.trace}) as paths:
         # only the trace streams; --out is written once the run has succeeded
         trace = _create(paths["--trace"]) if args.trace else contextlib.nullcontext()
@@ -151,25 +155,19 @@ def _print_rows(rows) -> None:
 
 
 def cmd_sweep(args) -> int:
-    # unset flags are None: a builtin set keeps its defaults, and a spec
-    # file sets these values itself, so giving them with --spec is an error
-    overrides = {"--reps": ("repetitions", args.reps),
-                 "--ticks": ("ticks", args.ticks),
-                 "--base-seed": ("base_seed", args.base_seed)}
     if args.builtin:
-        spec = builtin_set(args.builtin, **{name: v for name, v in overrides.values()
-                                            if v is not None})
+        spec = builtin_set(args.builtin, **_given(args, SimParams))  # --ticks
     else:
-        for flag, (_, v) in overrides.items():
-            if v is not None:
-                raise ValueError(f"{flag} applies to --builtin only; "
+        # a spec file sets its own settings; only --batches overrides one
+        for f in (*fields(ExperimentSpec), *fields(SimParams)):
+            if f.name in args and f.name != "batches":
+                raise ValueError(f"{_flag(f)} applies to --builtin only; "
                                  "set it in the spec file instead")
         try:
             spec = load_spec(args.spec)
         except OSError as exc:  # missing, a directory or unreadable: a usage error
             raise ValueError(exc) from None
-    if args.batches is not None:
-        spec = replace(spec, batches=args.batches)
+    spec = replace(spec, **_given(args, ExperimentSpec))
     with _outputs({"--out": args.out}, {"--spec": args.spec}) as paths:
         rows = run_experiment(spec, jobs=args.jobs)
         _print_rows(rows)
@@ -180,13 +178,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    social = _params_from(args)  # compare has no --scenario: the default, social
+    social = SimParams.from_given(_given(args, SimParams))  # no --scenario: social
     rnd = replace(social, scenario=Scenario.RANDOM_WALK)
-    spec = ExperimentSpec("compare", (social, rnd),
-                          repetitions=args.reps, base_seed=args.base_seed)
+    spec = ExperimentSpec("compare", (social, rnd), **_given(args, ExperimentSpec))
     s, r = run_experiment(spec, jobs=args.jobs)  # social first
     print(f"configuration: {social.n_red} red + {social.n_black} black, "
-          f"{social.ticks} ticks, {args.reps} paired replicates")
+          f"{social.ticks} ticks, {spec.repetitions} paired replicates")
     for row in (s, r):
         print(f"{row.scenario.value:<13}: mean {row.mean_collisions:.2f}  "
               f"stdev {row.stdev_collisions:.2f}  (n={row.n})")
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one simulation run")
-    _add_param_flags(p_run)
+    _add_param_flags(p_run, "simulation parameters", SimParams)
     p_run.add_argument("--out", metavar="CSV", help="write per-tick collision counts")
     p_run.add_argument("--trace", metavar="PATH",
                        help="write a per-agent per-tick trace log")
@@ -247,17 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--builtin", choices=("set1", "set2"),
                        help="one of the benchmark sweeps")
     which.add_argument("--spec", metavar="FILE",
-                       help="custom experiment file (INI schema, see README)")
+                       help="custom experiment file (INI schema, see README); it sets "
+                            "--reps, --base-seed, --ticks and, unless given, --batches")
     p_sweep.add_argument("--out", metavar="CSV", help="write the summary table")
-    p_sweep.add_argument("--reps", type=int,
-                         help="replicates per configuration (--builtin only; default 8)")
-    p_sweep.add_argument("--base-seed", type=int,
-                         help="first seed (--builtin only; default 1000)")
-    p_sweep.add_argument("--ticks", type=int,
-                         help="ticks per run (--builtin only; default 1000)")
-    p_sweep.add_argument("--batches", type=int,
-                         help="independent replicate batches, one row each per "
-                              "configuration (default 1, or the spec file's)")
+    _add_param_flags(p_sweep, "experiment settings", ExperimentSpec,
+                     exclude=("name", "configurations"))
+    _add_param_flags(p_sweep, "simulation parameters", SimParams,
+                     exclude={f.name for f in fields(SimParams)} - {"ticks"})
     p_sweep.add_argument("--jobs", type=_jobs, default=_default_jobs(),
                          help="processes that run simulations, this one included "
                               "(default: one per CPU this process may use)")
@@ -265,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare",
                            help="run both scenarios paired and report efficiency")
-    _add_param_flags(p_cmp, exclude=("seed", "scenario"))
-    p_cmp.add_argument("--reps", type=int, default=8)
-    p_cmp.add_argument("--base-seed", type=int, default=1000)
+    _add_param_flags(p_cmp, "simulation parameters", SimParams,
+                     exclude=("seed", "scenario"))
+    _add_param_flags(p_cmp, "experiment settings", ExperimentSpec,
+                     exclude=("name", "configurations", "batches"))
     p_cmp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -178,7 +178,7 @@ class SimParams:
     world_width: float = 100.0
     world_height: float = 100.0
     collision_radius: float = 1.0
-    ticks: int = 1000
+    ticks: int = field(default=1000, metadata={"help": "ticks per run"})
     seed: int = 0  # only backs `avflock run --seed`: run() takes its own seed
     collision_rule: CollisionRule = field(default=CollisionRule.PAIR_ENTRY, metadata={
         "help": "how proximity events are counted"})

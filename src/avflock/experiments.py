@@ -11,7 +11,7 @@ their paired differences are no tighter than unpaired ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .core import Scenario, SimParams, _check_seed, from_text, typed_fields
@@ -30,13 +30,17 @@ class ExperimentSpec:
 
     `batches` repeats the whole sweep as independent replicate batches,
     each reported as its own summary row (seed-shifted so no seed repeats).
+    The schema of a sweep's settings, as SimParams is of a run's: the
+    [experiment] keys and the `sweep` and `compare` flags derive from it.
     """
 
     name: str
     configurations: tuple[SimParams, ...]
-    repetitions: int = 8
-    base_seed: int = 1000
-    batches: int = 1
+    repetitions: int = field(default=8, metadata={
+        "flag": "--reps", "help": "replicates per configuration"})
+    base_seed: int = field(default=1000, metadata={"help": "first seed"})
+    batches: int = field(default=1, metadata={
+        "help": "independent replicate batches, one row each per configuration"})
 
     def __post_init__(self) -> None:
         if not self.configurations:
@@ -208,8 +212,9 @@ def efficiency(random_mean: float, social_mean: float) -> float:
     return 100.0 * (1.0 - social_mean / random_mean)
 
 
-def builtin_set(which: str, ticks: int = 1000, repetitions: int = 8,
-                base_seed: int = 1000) -> ExperimentSpec:
+def builtin_set(which: str, ticks: int = SimParams.ticks,
+                repetitions: int = ExperimentSpec.repetitions,
+                base_seed: int = ExperimentSpec.base_seed) -> ExperimentSpec:
     """The two benchmark sweeps over populations of 40..80 per team.
 
     "set1" runs the slow profile (velocity pinned to 0.3, deceleration 0.1),
@@ -241,10 +246,10 @@ def builtin_set(which: str, ticks: int = 1000, repetitions: int = 8,
 def load_spec(path: str) -> ExperimentSpec:
     """Read an ExperimentSpec from an INI-style file (schema in README).
 
-    One [experiment] section whose keys are ExperimentSpec fields (name,
-    repetitions, base_seed, batches) and one section per configuration whose
-    keys are SimParams fields other than `seed`; `scenario` accepts social,
-    random, or both (the default: a paired pair).
+    One [experiment] section whose keys are ExperimentSpec fields other than
+    `configurations` and one section per configuration whose keys are
+    SimParams fields other than `seed`; `scenario` accepts social, random,
+    or both (the default: a paired pair).
     """
     import configparser  # only spec files need the INI parser
 

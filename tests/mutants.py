@@ -36,6 +36,7 @@ POSITIONS = ("tests/test_engine.py::TestTick::"
 PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
             "test_partners_list_each_adjacent_pair_once")
 CLAIMS = "tests/test_experiments.py::TestSharedClaims::"
+CLI = "tests/test_cli.py::"
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,47 @@ MUTANTS = (
          FUSED + "test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis"),
         "equivalent: key == ny is row 0 of column 1, and key % ny == 0 "
         "already fails the row test"),
+    Mutant(
+        "around_interior_inclusive_upper_bound", "src/avflock/engine.py",
+        "            # no key passes on a grid with fewer than 3 cells on an axis\n"
+        "            if ny <= key < last_x and 0 < key % ny < last_y:\n",
+        "            # no key passes on a grid with fewer than 3 cells on an axis\n"
+        "            if ny <= key <= last_x and 0 < key % ny < last_y:\n",
+        ("tests/test_engine.py::TestSpatialGrid::test_around_lists_each_wrapped_block_once",
+         FUSED + "test_tiny_grid_case_has_fewer_than_three_cells_on_an_axis"),
+        "equivalent: key == last_x = (nx - 1) * ny is row 0 of the last column, "
+        "and key % ny == 0 already fails the row test"),
+    Mutant(
+        "cache_thaws_without_the_guard", "src/avflock/engine.py",
+        "        if thaw:  # on most ticks no agent thaws and none freezes\n"
+        "            for i, block in zip(thaw, g.around([cells[i] for i in thaw])):\n"
+        "                self._unlink(i, block, dirty)\n",
+        "        for i, block in zip(thaw, g.around([cells[i] for i in thaw])):\n"
+        "            self._unlink(i, block, dirty)\n",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways"),
+        "equivalent: with no agent thawing, around([]) yields nothing and no "
+        "agent is unlinked; the guard only skips building the empty key list"),
+    Mutant(
+        "unlink_leaves_dirty_empty", "src/avflock/engine.py",
+        "            if near[k] == i and static[k]:\n"
+        "                dirty.append(k)\n", "",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_exact_ties_and_cut")),
+    Mutant(
+        "join_scan_inclusive", "src/avflock/engine.py",
+        "        if self.n_static + len(moved) < len(speeds):\n",
+        "        if self.n_static + len(moved) <= len(speeds):\n",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways"),
+        "equivalent: after the thaw the static agents and the movers are "
+        "disjoint, so at equality every stopped agent is static already and "
+        "the scan finds none to join"),
+    Mutant(
+        "dirty_keeps_thawed_agents", "src/avflock/engine.py",
+        "        dirty = [j for j in dirty if static[j]]\n",
+        "        dirty = [j for j in dirty]\n",
+        (FUSED + "test_list_speed_gate_turns_off_and_on",)),
     Mutant(
         "charge_drops_top_lo_corner", "src/avflock/engine.py",
         "        step = max(chord * top, math.hypot(top - lo, chord * "
@@ -284,6 +326,16 @@ MUTANTS = (
          CLAIMS + "test_a_failed_run_stops_every_process"),
         "survives: the callback only shortens the caller's wait after a worker "
         "dies, and no test times that wait"),
+    Mutant(
+        "compare_takes_batches", "src/avflock/cli.py",
+        "                     exclude=(\"name\", \"configurations\", \"batches\"))\n",
+        "                     exclude=(\"name\", \"configurations\"))\n",
+        (CLI + "TestSchema::test_run_and_compare_options_pinned",)),
+    Mutant(
+        "builtin_only_check_skips_base_seed", "src/avflock/cli.py",
+        "            if f.name in args and f.name != \"batches\":\n",
+        "            if f.name in args and f.name not in (\"batches\", \"base_seed\"):\n",
+        (CLI + "TestBadInput::test_builtin_only_flag_with_spec_exits_two[--base-seed]",)),
 )
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import types
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from avflock import __version__
 from avflock.cli import build_parser, main
 from avflock.core import ParamRangeWarning, SimParams, text_names, typed_fields
 from avflock.engine import run
-from avflock.experiments import builtin_set, format_rows, load_spec, run_experiment
+from avflock.experiments import (ExperimentSpec, builtin_set, format_rows, load_spec,
+                                 run_experiment)
 
 RUN_SMOKE = ["run", "--scenario", "social", "--red", "10", "--black", "10",
              "--seed", "1", "--ticks", "50"]
@@ -521,13 +523,18 @@ class TestBadInput:
         assert "argument --jobs: must be an int >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--ticks", "1.5"], "argument --ticks: ticks must be int, got '1.5'"),
-        (["--red", "true"], "argument --red: n_red must be int, got 'true'"),
-        (["--scenario", "both"], "scenario must be one of random, social, got 'both'"),
+        (["run", "--ticks", "1.5"], "argument --ticks: ticks must be int, got '1.5'"),
+        (["run", "--red", "true"], "argument --red: n_red must be int, got 'true'"),
+        (["run", "--scenario", "both"],
+         "scenario must be one of random, social, got 'both'"),
+        (["sweep", "--builtin", "set1", "--reps", "x"],
+         "argument --reps: repetitions must be int, got 'x'"),
+        (["compare", "--base-seed", "x"],
+         "argument --base-seed: base_seed must be int, got 'x'"),
     ])
     def test_wrong_type_flag_exits_two(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["run"] + argv)
+            main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -643,6 +650,11 @@ class TestSchema:
         assert options("compare") == self.PARAM_OPTIONS | {
             "-h", "--help", "--reps", "--base-seed", "--jobs"}
 
+    def test_sweep_options_pinned(self):
+        assert {o for a in _actions("sweep") for o in a.option_strings} == {
+            "-h", "--help", "--builtin", "--spec", "--out", "--reps", "--base-seed",
+            "--batches", "--ticks", "--jobs"}
+
     def test_richardson_options_pinned(self):
         assert {o for a in _actions("richardson") for o in a.option_strings} == {
             "-h", "--help", "--delta1", "--delta2", "--alpha1", "--alpha2", "--g1",
@@ -683,3 +695,22 @@ class TestSchema:
                 load_spec(str(cfg))
         else:
             assert load_spec(str(cfg)).configurations[0] == from_flag
+
+    @pytest.mark.parametrize("f", [f for f in fields(ExperimentSpec) if f.metadata],
+                             ids=lambda f: f.name)
+    def test_flag_and_experiment_key_give_the_same_sweep(self, tmp_path, f):
+        # set1's sliders are SimParams' defaults: this file is set1 at 2 ticks
+        sections = "".join(f"[config:{n}]\nn_red = {n}\nn_black = {n}\nticks = 2\n"
+                           for n in (40, 50, 60, 70, 80))
+        text = str(f.default + 1)
+        cfg = tmp_path / "set1.cfg"
+        cfg.write_text(f"[experiment]\nname = set1\n{f.name} = {text}\n{sections}")
+        flag = next(a.option_strings[0] for a in _actions("sweep") if a.dest == f.name)
+        # a spec file sets its own repetitions and base_seed: their flags
+        # take a builtin set, and so does --batches here
+        by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(["sweep", "--builtin", "set1", "--ticks", "2", flag, text,
+                     "--jobs", "1", "--out", str(by_flag)]) == 0
+        assert main(["sweep", "--spec", str(cfg), "--jobs", "1",
+                     "--out", str(by_key)]) == 0
+        assert by_flag.read_bytes() == by_key.read_bytes()
