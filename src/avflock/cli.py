@@ -2,8 +2,8 @@
 relative-position trajectory dumps.
 
 The CLI is a thin shell over the library; it owns flag parsing, exit codes
-(0 ok, 2 usage error, 1 runtime failure) and file emission only; the fields
-of SimParams (a run) and ExperimentSpec (a sweep) define the settings' flags.
+(0 ok, 2 usage error, 1 runtime failure) and file emission only; the fields of
+SimParams, ExperimentSpec and RichardsonParams define the settings' flags.
 Data files carry no timestamps, so identical invocations produce identical bytes.
 """
 
@@ -22,8 +22,7 @@ from .core import Scenario, SimParams, from_text, text_names, typed_fields
 from .engine import run
 from .experiments import (ExperimentSpec, builtin_set, efficiency, export_csv,
                           load_spec, run_experiment)
-from .richardson import (PairState, RichardsonParams, fixed_point, simulate, stability,
-                         stable_preset)
+from .richardson import PairState, RichardsonParams, fixed_point, simulate, stability
 
 
 def _flag_type(f, kind):
@@ -197,8 +196,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_richardson(args) -> int:
-    params = RichardsonParams(**{f.name: getattr(args, f.name)
-                                 for f in fields(RichardsonParams)})
+    params = RichardsonParams(**_given(args, RichardsonParams))
     with _outputs({"--out": args.out}) as paths:
         trajectory = simulate(PairState(args.v1, args.v2), params, args.steps)
         lines = [f"# avflock {__version__}", "step,v1,v2"]
@@ -268,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rich = sub.add_parser(
         "richardson",
         help="dump a trajectory of the two-vehicle relative-position dynamics")
-    preset = stable_preset()
-    for f in fields(RichardsonParams):
-        p_rich.add_argument("--" + f.name, type=float, default=getattr(preset, f.name))
+    _add_param_flags(p_rich, "coefficients", RichardsonParams)
     p_rich.add_argument("--v1", type=float, default=1.0, help="initial v1")
     p_rich.add_argument("--v2", type=float, default=0.0, help="initial v2")
     p_rich.add_argument("--steps", type=int, default=20)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from collections.abc import Mapping
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 
 class Team(Enum):
@@ -104,13 +105,13 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_seed(seed, name: str = "seed") -> None:
+def _check_seed(seed) -> None:
     """The seed rule: an int that is not a bool, and at least 0.
     random.Random(-s) replays random.Random(s), and True or 2.0 replay 1 or 2."""
     if not _is_a(seed, int):
-        raise ValueError(f"{name} must be int, got {seed!r}")
+        raise ValueError(f"seed must be int, got {seed!r}")
     if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @functools.cache
@@ -118,6 +119,16 @@ def typed_fields(cls: type) -> tuple[tuple[Field, type], ...]:
     """The fields of dataclass `cls`, each with its resolved annotation."""
     hints = get_type_hints(cls)
     return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def check_fields(obj) -> None:
+    """Hold each field of dataclass `obj` typed by a plain class to it, and floats finite."""
+    for f, kind in typed_fields(type(obj)):
+        v = getattr(obj, f.name)
+        if get_origin(kind) is None and not _is_a(v, kind):  # skips tuple[SimParams, ...]
+            raise ValueError(f"{f.name} must be {kind.__name__}, got {v!r}")
+        if kind is float and not abs(v) <= sys.float_info.max:  # nan, inf, 10**400
+            raise ValueError(f"{f.name} must be finite, got {v}")
 
 
 def text_names(f: Field, kind: type[Enum]) -> dict[str, Enum]:
@@ -192,12 +203,7 @@ class SimParams:
 
     def validate(self) -> None:
         """Raise on malformed settings."""
-        for f, kind in typed_fields(type(self)):
-            v = getattr(self, f.name)
-            if not _is_a(v, kind):
-                raise ValueError(f"{f.name} must be {kind.__name__}, got {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+        check_fields(self)
         if self.ticks < 1:
             raise ValueError(f"ticks must be >= 1, got {self.ticks}")
         _check_seed(self.seed)

@@ -689,6 +689,8 @@ def _decide(agents: list[AgentState], speeds: list[float],
     """Decide on the snapshot, apply in id order; equal to social_step."""
     maxv, acc, decel = p.max_velocity, p.max_acceleration, p.deceleration
     literal = p.literal_rules
+    # locals: loading an Enum member is many times slower than loading a local
+    mirror_kind, accelerate_kind = ActionKind.MIRROR, ActionKind.ACCELERATE
     kinds = [ActionKind.KEEP] * len(agents)
     for i, j in enumerate(near):
         a = agents[i]
@@ -701,13 +703,13 @@ def _decide(agents: list[AgentState], speeds: list[float],
                 a.recovering = True
             a.heading = headings[j]
             a.speed = sp
-            kinds[i] = ActionKind.MIRROR
+            kinds[i] = mirror_kind
         elif not literal and a.recovering and a.speed < maxv:
             sp = min(a.speed + acc, maxv)
             a.speed = sp
             if sp >= maxv:
                 a.recovering = False
-            kinds[i] = ActionKind.ACCELERATE
+            kinds[i] = accelerate_kind
     return kinds
 
 

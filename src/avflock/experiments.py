@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .core import Scenario, SimParams, _check_seed, from_text, typed_fields
+from .core import Scenario, SimParams, check_fields, from_text, typed_fields
 from .engine import run
 
 _CSV_HEADER = ("set,config_id,scenario,n_red,n_black,min_vel,max_vel,"
@@ -30,8 +30,8 @@ class ExperimentSpec:
 
     `batches` repeats the whole sweep as independent replicate batches,
     each reported as its own summary row (seed-shifted so no seed repeats).
-    The schema of a sweep's settings, as SimParams is of a run's: the
-    [experiment] keys and the `sweep` and `compare` flags derive from it.
+    The schema of a sweep's settings, as SimParams is of a run's: the [experiment]
+    keys and the `sweep`/`compare` flags derive from it; `core.check_fields` checks it.
     """
 
     name: str
@@ -43,13 +43,15 @@ class ExperimentSpec:
         "help": "independent replicate batches, one row each per configuration"})
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.configurations:
             raise ValueError("an experiment needs at least one configuration")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
-        _check_seed(self.base_seed, "base_seed")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         # the name is a field of every summary CSV row, written unquoted
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError("name must not contain a comma, a quote or a line "

@@ -19,29 +19,27 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
+
+from .core import check_fields
 
 
 @dataclass(frozen=True)
 class RichardsonParams:
-    """Coefficients of the coupled update; all finite reals, any sign."""
+    """Coefficients of the coupled update: finite (`core.check_fields`), any sign."""
 
-    delta1: float
-    delta2: float
-    alpha1: float
-    alpha2: float
+    delta1: float = field(default=0.25, metadata={"help": "position coefficient d1"})
+    delta2: float = field(default=0.25, metadata={"help": "position coefficient d2"})
+    alpha1: float = field(default=-0.5, metadata={"help": "road-capacity coefficient a1"})
+    alpha2: float = field(default=-0.5, metadata={"help": "road-capacity coefficient a2"})
     g1: float = 0.0
     g2: float = 0.0
     h1: float = 0.0
     h2: float = 0.0
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+    __post_init__ = check_fields
 
     @property
     def beta1(self) -> float:
@@ -53,8 +51,8 @@ class RichardsonParams:
 
 
 def stable_preset() -> RichardsonParams:
-    """Default demo coefficients: symmetric, contractive, zero goal term."""
-    return RichardsonParams(delta1=0.25, delta2=0.25, alpha1=-0.5, alpha2=-0.5)
+    """The field defaults: symmetric, contractive, zero goal term."""
+    return RichardsonParams()
 
 
 class PairState(NamedTuple):

@@ -4,7 +4,9 @@ Each mutant replaces one exact snippet of a source file, which must occur
 there exactly once, and names the test node ids expected to kill it. A
 mutant that is expected to live carries a note that starts "survives:"
 (no test kills it, and why that is accepted) or "equivalent:" (no
-program behaves differently, and why).
+program behaves differently, and why). A note that starts "racy:" marks
+a mutant whose killers catch it only when processes interleave one way,
+so either outcome is expected.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # only these
@@ -13,8 +15,8 @@ The runner copies `src/`, `tests/`, `pyproject.toml` and `README.md` to a
 temporary directory, checks that every node id named in the table passes
 there unmutated, then applies each mutant in turn to a fresh copy and
 runs only its node ids. It prints one line per mutant and exits 1 when a
-mutant expected to die survives, when one noted as living is killed, or
-when a run errs. It is not part of the tier-1 suite;
+mutant expected to die survives, when one noted "survives:" or
+"equivalent:" is killed, or when a run errs. It is not part of the tier-1 suite;
 `tests/test_mutants.py` checks there that the table still matches `src/`.
 A change that adds mutants adds them here.
 """
@@ -37,6 +39,7 @@ PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
             "test_partners_list_each_adjacent_pair_once")
 CLAIMS = "tests/test_experiments.py::TestSharedClaims::"
 CLI = "tests/test_cli.py::"
+CHECK_FIELDS = "tests/test_core.py::test_check_fields_names_the_field"
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class Mutant:
     snippet: str  # occurs exactly once in `file`
     replacement: str
     killers: tuple[str, ...]  # test node ids, relative to the root
-    note: str = ""  # "survives: ..." or "equivalent: ...", with the reason
+    note: str = ""  # "survives: ...", "equivalent: ..." or "racy: ...", with the reason
 
 
 MUTANTS = (
@@ -316,8 +319,8 @@ MUTANTS = (
         "        k = counter.value\n"
         "        counter.value = k + 1\n",
         (CLAIMS + "test_every_run_starts_once",),
-        "survives: two processes then claim the same run in about 1 of 600 "
-        "claims, too rare for the stress test to catch reliably"),
+        "racy: two processes then claim the same run in about 1 of 600 "
+        "claims, which the stress test catches in some runs and not in others"),
     Mutant(
         "failed_worker_without_the_callback", "src/avflock/experiments.py",
         "                for future in futures:\n"
@@ -336,6 +339,24 @@ MUTANTS = (
         "            if f.name in args and f.name != \"batches\":\n",
         "            if f.name in args and f.name not in (\"batches\", \"base_seed\"):\n",
         (CLI + "TestBadInput::test_builtin_only_flag_with_spec_exits_two[--base-seed]",)),
+    Mutant(
+        "check_fields_takes_a_bool_as_a_number", "src/avflock/core.py",
+        "    if isinstance(value, bool):\n"
+        "        return kind is bool\n", "",
+        (CHECK_FIELDS,)),
+    Mutant(
+        "check_fields_without_finiteness", "src/avflock/core.py",
+        "        if kind is float and not abs(v) <= sys.float_info.max:  # nan, inf, 10**400\n"
+        "            raise ValueError(f\"{f.name} must be finite, got {v}\")\n", "",
+        (CHECK_FIELDS,)),
+    Mutant(
+        "experiment_spec_skips_check_fields", "src/avflock/experiments.py",
+        "        check_fields(self)\n", "",
+        (CHECK_FIELDS,)),
+    Mutant(
+        "richardson_params_skip_check_fields", "src/avflock/richardson.py",
+        "    __post_init__ = check_fields\n", "",
+        (CHECK_FIELDS,)),
 )
 
 
@@ -385,7 +406,8 @@ def main(argv: list[str]) -> int:
     bad, survivors = 0, []
     for m in mutants:
         outcome = _outcome(m)
-        ok = outcome == ("survived" if m.note else "killed")
+        ok = (outcome in ("survived", "killed") if m.note.startswith("racy: ")
+              else outcome == ("survived" if m.note else "killed"))
         bad += not ok
         if outcome == "survived":
             survivors.append(m.name)

@@ -26,6 +26,7 @@ from avflock.core import ParamRangeWarning, SimParams, text_names, typed_fields
 from avflock.engine import run
 from avflock.experiments import (ExperimentSpec, builtin_set, format_rows, load_spec,
                                  run_experiment)
+from avflock.richardson import RichardsonParams
 
 RUN_SMOKE = ["run", "--scenario", "social", "--red", "10", "--black", "10",
              "--seed", "1", "--ticks", "50"]
@@ -531,6 +532,8 @@ class TestBadInput:
          "argument --reps: repetitions must be int, got 'x'"),
         (["compare", "--base-seed", "x"],
          "argument --base-seed: base_seed must be int, got 'x'"),
+        (["richardson", "--delta1", "fast"],
+         "argument --delta1: delta1 must be float, got 'fast'"),
     ])
     def test_wrong_type_flag_exits_two(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -629,10 +632,14 @@ class TestRangeWarnings:
                              "range [0, 100]")
 
 
-def _actions(command: str) -> list[argparse.Action]:
+def _subparser(command: str) -> argparse.ArgumentParser:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]._actions
+    return sub.choices[command]
+
+
+def _actions(command: str) -> list[argparse.Action]:
+    return _subparser(command)._actions
 
 
 class TestSchema:
@@ -659,6 +666,12 @@ class TestSchema:
         assert {o for a in _actions("richardson") for o in a.option_strings} == {
             "-h", "--help", "--delta1", "--delta2", "--alpha1", "--alpha2", "--g1",
             "--g2", "--h1", "--h2", "--v1", "--v2", "--steps", "--out"}
+
+    def test_richardson_help_shows_each_coefficient_default(self):
+        lines = _subparser("richardson").format_help().splitlines()
+        for f in fields(RichardsonParams):
+            (line,) = [l for l in lines if l.lstrip().startswith(f"--{f.name} ")]
+            assert line.endswith(f"(default {f.default})"), line
 
     @pytest.mark.filterwarnings("ignore::avflock.core.ParamRangeWarning")
     @pytest.mark.parametrize("f, kind", typed_fields(SimParams),

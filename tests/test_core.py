@@ -4,11 +4,14 @@ import dataclasses
 import math
 import random
 import warnings
+from typing import get_origin
 
 import pytest
 
 from avflock.core import (ParamRangeWarning, SimParams, _wrap1, displace,
-                          torus_distance_xy)
+                          torus_distance_xy, typed_fields)
+from avflock.experiments import ExperimentSpec
+from avflock.richardson import RichardsonParams
 
 W, H = 100.0, 100.0
 
@@ -164,3 +167,35 @@ class TestSimParams:
 
     def test_int_accepted_for_float_field(self):
         assert SimParams(world_width=200, sonar_range=0).world_width == 200
+
+
+# a valid instance of each class that `check_fields` guards, as keyword arguments
+_VALID = {SimParams: {},
+          ExperimentSpec: {"name": "x", "configurations": (SimParams(ticks=2),)},
+          RichardsonParams: {}}
+
+
+def _bad_values():
+    """A bool, a str and a float in every field typed by a plain class other
+    than theirs, and nan, inf and an int past the float range in every float
+    field, each with its message."""
+    for cls in _VALID:
+        for f, kind in typed_fields(cls):
+            if get_origin(kind) is not None:  # ExperimentSpec.configurations
+                continue
+            bad = [(v, f"must be {kind.__name__}, got {v!r}")
+                   for v in (True, "1", 2.5) if type(v) is not kind]
+            if kind is float:
+                bad += [(v, f"must be finite, got {v}")
+                        for v in (math.nan, math.inf, 10**400)]
+            for value, message in bad:
+                # the id keeps the first digits of 10**400
+                yield pytest.param(cls, f.name, value, f"{f.name} {message}",
+                                   id=f"{cls.__name__}.{f.name}={value!r:.8}")
+
+
+@pytest.mark.parametrize("cls, name, value, message", _bad_values())
+def test_check_fields_names_the_field(cls, name, value, message):
+    with pytest.raises(ValueError) as exc:
+        cls(**{**_VALID[cls], name: value})
+    assert str(exc.value) == message
