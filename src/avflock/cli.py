@@ -20,8 +20,8 @@ from enum import Enum
 from . import __version__
 from .core import Scenario, SimParams, from_text, text_names, typed_fields
 from .engine import run
-from .experiments import (ExperimentSpec, builtin_set, efficiency, export_csv,
-                          load_spec, run_experiment)
+from .experiments import (ExperimentSpec, builtin_set, create, data_text, efficiency,
+                          export_csv, load_spec, run_experiment)
 from .richardson import PairState, RichardsonParams, fixed_point, simulate, stability
 
 
@@ -118,16 +118,11 @@ def _outputs(outputs: dict, inputs: dict | None = None):
         raise
 
 
-def _create(path: str):
-    """An output, truncated and open for writing, as `export_csv` opens one."""
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def cmd_run(args) -> int:
     params = SimParams.from_given(_given(args, SimParams))
     with _outputs({"--out": args.out, "--trace": args.trace}) as paths:
         # only the trace streams; --out is written once the run has succeeded
-        trace = _create(paths["--trace"]) if args.trace else contextlib.nullcontext()
+        trace = create(paths["--trace"]) if args.trace else contextlib.nullcontext()
         with trace as trace_fh:
             result = run(params, params.seed, trace=trace_fh)
         red, black = result.per_team_collisions
@@ -135,11 +130,9 @@ def cmd_run(args) -> int:
               f"(red {red}, black {black}) over {params.ticks} ticks, "
               f"scenario {params.scenario.value}, seed {result.seed}")
         if args.out:
-            with _create(paths["--out"]) as fh:
-                fh.write(f"# avflock {__version__}\n")
-                fh.write("tick,collisions\n")
-                for t, c in enumerate(result.collisions_per_tick, start=1):
-                    fh.write(f"{t},{c}\n")
+            counts = enumerate(result.collisions_per_tick, start=1)
+            with create(paths["--out"]) as fh:
+                fh.write(data_text("tick,collisions", (f"{t},{c}" for t, c in counts)))
             print(f"per-tick collisions written to {fh.name}")
     return 0
 
@@ -199,11 +192,10 @@ def cmd_richardson(args) -> int:
     params = RichardsonParams(**_given(args, RichardsonParams))
     with _outputs({"--out": args.out}) as paths:
         trajectory = simulate(PairState(args.v1, args.v2), params, args.steps)
-        lines = [f"# avflock {__version__}", "step,v1,v2"]
-        lines += [f"{i},{s.v1!r},{s.v2!r}" for i, s in enumerate(trajectory)]
-        text = "\n".join(lines) + "\n"
+        text = data_text("step,v1,v2", (f"{i},{s.v1!r},{s.v2!r}"
+                                         for i, s in enumerate(trajectory)))
         if args.out:
-            with _create(paths["--out"]) as fh:
+            with create(paths["--out"]) as fh:
                 fh.write(text)
             print(f"trajectory written to {fh.name}")
         else:

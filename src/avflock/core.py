@@ -66,15 +66,17 @@ def torus_distance_xy(ax: float, ay: float, bx: float, by: float,
 
 def displace(x: float, y: float, heading: float, dist: float,
              width: float, height: float) -> tuple[float, float]:
-    """Move (x, y) by `dist` along `heading` and wrap.
-
-    Single source of the heading convention: dx = dist*sin(h), dy = dist*cos(h).
-    """
+    """Move (x, y) by `dist` along `heading` and wrap."""
     if dist == 0.0:
         return x, y
+    sin, cos = heading_unit(heading)
+    return _wrap1(x + dist * sin, width), _wrap1(y + dist * cos, height)
+
+
+def heading_unit(heading: float) -> tuple[float, float]:
+    """The (dx, dy) of 1 m along `heading`, (sin, cos): the heading convention."""
     rad = math.radians(heading % 360.0)
-    return (_wrap1(x + dist * math.sin(rad), width),
-            _wrap1(y + dist * math.cos(rad), height))
+    return math.sin(rad), math.cos(rad)
 
 
 @dataclass(slots=True)
@@ -105,13 +107,13 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_seed(seed) -> None:
-    """The seed rule: an int that is not a bool, and at least 0.
+def _check_seed(seed, name: str = "seed") -> None:
+    """The rule of seed `name`: an int that is not a bool, and at least 0.
     random.Random(-s) replays random.Random(s), and True or 2.0 replay 1 or 2."""
     if not _is_a(seed, int):
-        raise ValueError(f"seed must be int, got {seed!r}")
+        raise ValueError(f"{name} must be int, got {seed!r}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 @functools.cache

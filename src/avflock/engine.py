@@ -66,7 +66,8 @@ from itertools import compress
 # traced run (perfbench/tracer.py) looks them up on this module
 from .agents import ActionKind, random_walk_step, social_step  # noqa: F401
 from .core import (AgentState, CollisionRule, Scenario, SimParams, Team,  # noqa: F401
-                   WorldState, _check_seed, _wrap1, displace, torus_distance_xy)
+                   WorldState, _check_seed, _wrap1, displace, heading_unit,
+                   torus_distance_xy)
 
 
 _MAX_CELLS = 1 << 30  # of a SpatialGrid, per axis and per metre
@@ -605,14 +606,6 @@ class _Index:
         return self.arc
 
 
-def _sincos(trig: dict, heading: float) -> tuple[float, float]:
-    """Memoise and return heading's (sin, cos), the floats displace uses. A
-    pair is truthy, so `trig.get(h) or _sincos(trig, h)` computes on a miss."""
-    rad = math.radians(heading % 360.0)
-    sc = trig[heading] = (math.sin(rad), math.cos(rad))
-    return sc
-
-
 def tick(world: WorldState) -> WorldState:
     """Advance the world by one tick in place (also returns it)."""
     p = world.params
@@ -675,7 +668,8 @@ def _social_move(agents: list[AgentState], speeds: list[float],
     w, h = p.world_width, p.world_height
     for i in moved:
         a = agents[i]
-        sc = trig.get(a.heading) or _sincos(trig, a.heading)
+        # a pair is truthy: only a miss computes and memoises one
+        sc = trig.get(a.heading) or trig.setdefault(a.heading, heading_unit(a.heading))
         sp = speeds[i]
         x = (xs[i] + sp * sc[0]) % w
         y = (ys[i] + sp * sc[1]) % h
@@ -741,7 +735,7 @@ def _random_move(agents: list[AgentState], speeds: list[float],
             if speed < minv:
                 speed = minv
         if sp != 0.0:
-            sc = trig.get(a.heading) or _sincos(trig, a.heading)
+            sc = trig.get(a.heading) or trig.setdefault(a.heading, heading_unit(a.heading))
             x = (xs[i] + sp * sc[0]) % w
             y = (ys[i] + sp * sc[1]) % h
             if x >= w:
@@ -749,7 +743,7 @@ def _random_move(agents: list[AgentState], speeds: list[float],
             if y >= h:
                 y = 0.0
             # an int turn shares the memo entry of the equal float
-            sc = trig.get(h1) or _sincos(trig, h1)
+            sc = trig.get(h1) or trig.setdefault(h1, heading_unit(h1))
             x = (x + sp * sc[0]) % w
             y = (y + sp * sc[1]) % h
             if x >= w:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .core import Scenario, SimParams, check_fields, from_text, typed_fields
+from .core import (Scenario, SimParams, _check_seed, check_fields, from_text,
+                   typed_fields)
 from .engine import run
 
 _CSV_HEADER = ("set,config_id,scenario,n_red,n_black,min_vel,max_vel,"
@@ -50,8 +51,7 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _check_seed(self.base_seed, "base_seed")
         # the name is a field of every summary CSV row, written unquoted
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError("name must not contain a comma, a quote or a line "
@@ -303,9 +303,19 @@ def _parse_section(section: str, items, cls: type, exclude: str) -> dict:
     return values
 
 
+def data_text(header: str, rows) -> str:
+    """Every data file's text: the version line, `header`, then a line per row."""
+    return "\n".join((f"# avflock {__version__}", header, *rows)) + "\n"
+
+
+def create(path: str):
+    """An output file (a data file or a trace), truncated and open for writing."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def format_rows(rows: list[SummaryRow]) -> str:
     """Render summary rows as CSV text (deterministic bytes)."""
-    lines = [f"# avflock {__version__}", _CSV_HEADER]
+    lines = []
     for r in rows:
         p = r.params
         lines.append(
@@ -314,11 +324,11 @@ def format_rows(rows: list[SummaryRow]) -> str:
             f"{p.max_acceleration!r},{p.deceleration!r},"
             f"{p.min_safety_distance!r},{p.sonar_range!r},{p.ticks},{r.n},"
             f"{r.mean_collisions!r},{r.stdev_collisions!r}")
-    return "\n".join(lines) + "\n"
+    return data_text(_CSV_HEADER, lines)
 
 
 def export_csv(rows: list[SummaryRow], path: str) -> None:
     """Write summary rows to `path`; reruns of the same spec are byte-identical."""
     text = format_rows(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with create(path) as fh:
         fh.write(text)

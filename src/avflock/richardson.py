@@ -9,10 +9,11 @@ two vehicles. In standard form the update is affine,
 
 with b = 1 + a, where `a` is the road-capacity coefficient, `d` the
 position (mirroring) coefficient, `g` the fear intensity and `h` the
-safety goal. Coefficient signs are unconstrained. The agent simulation
-implements mirroring algorithmically (direct heading/speed adoption, the
-d = 1 limit); this module is the analytic model used for trajectory dumps
-and stability checks.
+safety goal. Coefficient signs are unconstrained. On two social vehicles
+that threaten each other on every tick the engine is this map bit for bit,
+its state their speeds, a = -1, d = 1 and g*h = -deceleration, until a speed
+reaches 0. Under `literal_rules` it is not: v - decel + acc rounds twice (0.6
+at 0.05 and 0.1 gives 0.6499999999999999, the map 0.65), and max_velocity clamps.
 """
 
 from __future__ import annotations

@@ -40,6 +40,8 @@ PARTNERS = ("tests/test_engine.py::TestSpatialGrid::"
 CLAIMS = "tests/test_experiments.py::TestSharedClaims::"
 CLI = "tests/test_cli.py::"
 CHECK_FIELDS = "tests/test_core.py::test_check_fields_names_the_field"
+GOLDEN = "tests/test_golden.py::"
+WRAP = FUSED + "test_moves_wrap_a_rounding_to_the_far_edge"
 
 
 @dataclass(frozen=True)
@@ -325,10 +327,67 @@ MUTANTS = (
         "failed_worker_without_the_callback", "src/avflock/experiments.py",
         "                for future in futures:\n"
         "                    future.add_done_callback(stop_if_failed)\n", "",
-        ("tests/test_cli.py::TestBadInput::test_dead_sweep_worker_is_one_error_line",
-         CLAIMS + "test_a_failed_run_stops_every_process"),
-        "survives: the callback only shortens the caller's wait after a worker "
-        "dies, and no test times that wait"),
+        (CLAIMS + "test_a_dead_worker_stops_the_caller",)),
+    Mutant(
+        "social_move_without_x_reset", "src/avflock/engine.py",
+        "        a.x = xs[i] = 0.0 if x >= w else x\n",
+        "        a.x = xs[i] = x\n",
+        (WRAP,)),
+    Mutant(
+        "social_move_without_y_reset", "src/avflock/engine.py",
+        "        a.y = ys[i] = 0.0 if y >= h else y\n",
+        "        a.y = ys[i] = y\n",
+        (WRAP,)),
+    Mutant(
+        "random_move_without_first_x_reset", "src/avflock/engine.py",
+        "            y = (ys[i] + sp * sc[1]) % h\n"
+        "            if x >= w:\n"
+        "                x = 0.0\n",
+        "            y = (ys[i] + sp * sc[1]) % h\n",
+        (WRAP,)),
+    Mutant(
+        "random_move_without_first_y_reset", "src/avflock/engine.py",
+        "            if y >= h:\n"
+        "                y = 0.0\n"
+        "            # an int turn",
+        "            # an int turn",
+        (WRAP,)),
+    Mutant(
+        "random_move_without_second_x_reset", "src/avflock/engine.py",
+        "            y = (y + sp * sc[1]) % h\n"
+        "            if x >= w:\n"
+        "                x = 0.0\n",
+        "            y = (y + sp * sc[1]) % h\n",
+        (WRAP,)),
+    Mutant(
+        "random_move_without_second_y_reset", "src/avflock/engine.py",
+        "            if y >= h:\n"
+        "                y = 0.0\n"
+        "            a.x = xs[i] = x\n",
+        "            a.x = xs[i] = x\n",
+        (WRAP,)),
+    Mutant(
+        "heading_unit_swaps_sin_and_cos", "src/avflock/core.py",
+        "    return math.sin(rad), math.cos(rad)\n",
+        "    return math.cos(rad), math.sin(rad)\n",
+        (GOLDEN + "test_digest_pinned", GOLDEN + "test_trace_digest_pinned")),
+    Mutant(
+        "layout_without_version_line", "src/avflock/experiments.py",
+        "    return \"\\n\".join((f\"# avflock {__version__}\", header, *rows)) + \"\\n\"\n",
+        "    return \"\\n\".join((header, *rows)) + \"\\n\"\n",
+        (CLI + "TestRichardson::test_default_output_pinned",
+         CLI + "TestRun::test_deterministic_stdout_and_files")),
+    Mutant(
+        "output_opened_for_append", "src/avflock/experiments.py",
+        "    return open(path, \"w\", encoding=\"utf-8\", newline=\"\")\n",
+        "    return open(path, \"a\", encoding=\"utf-8\", newline=\"\")\n",
+        (CLI + "TestRun::test_deterministic_stdout_and_files",)),
+    Mutant(
+        "seed_bound_admits_minus_one", "src/avflock/core.py",
+        "    if seed < 0:\n",
+        "    if seed < -1:\n",
+        ("tests/test_experiments.py::TestRunExperiment::test_negative_base_seed_rejected",
+         CLI + "TestBadInput::test_negative_seed_exits_two")),
     Mutant(
         "compare_takes_batches", "src/avflock/cli.py",
         "                     exclude=(\"name\", \"configurations\", \"batches\"))\n",

@@ -198,6 +198,13 @@ class TestCompare:
     def test_zero_agents_rejected(self, capsys):
         assert main(["compare", "--red", "0", "--black", "0"]) == 2
 
+    def test_no_random_walk_collision_leaves_efficiency_undefined(self, capsys):
+        # one vehicle alone never collides
+        assert main(["compare", "--red", "1", "--black", "0", "--ticks", "2",
+                     "--reps", "1", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("efficiency: undefined (random-walk mean is 0)\n")
+
     def test_fixed_seed_identical_report(self, capsys):
         main(self.ARGS)
         first = capsys.readouterr().out
@@ -271,6 +278,19 @@ class TestRichardson:
 def test_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == f"avflock {__version__}"
+
+
+# setuptools before 68 calls its [tool.setuptools] table beta
+@pytest.mark.filterwarnings(r"ignore:Support for `\[tool\.setuptools\]`")
+def test_package_version_is_the_module_version():
+    # pyproject.toml declares no version of its own: setuptools reads it from
+    # avflock.__version__
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    project = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml",
+                                 expand=True)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == __version__
 
 
 def test_missing_subcommand_exits_two():

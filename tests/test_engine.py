@@ -449,6 +449,10 @@ def brute_pairs(agents, r, w, h):
 
 
 class TestSpatialGrid:
+    def test_cell_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="cell_size must be positive"):
+            SpatialGrid(100.0, 100.0, 0.0)
+
     def test_every_agent_in_exactly_one_bucket(self):
         world = setup(TABLE1, seed=9)
         grid = SpatialGrid(100.0, 100.0, 2.5)

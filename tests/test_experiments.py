@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import statistics
+import time
 import warnings
 
 import pytest
@@ -195,6 +196,22 @@ class TestRunExperiment:
         spec = ExperimentSpec("bad", (SimParams(ticks=1),), repetitions=1)
         with pytest.raises(ValueError, match="configuration 0"):
             run_experiment(spec)
+
+    def test_error_that_takes_other_arguments_becomes_a_runtime_error(self, monkeypatch):
+        class TwoArgs(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        original = TwoArgs(7, "run failed")
+
+        def broken(params, seed):
+            raise original
+
+        monkeypatch.setattr(ex, "run", broken)
+        spec = ExperimentSpec("bad", (SimParams(ticks=1),), repetitions=1)
+        with pytest.raises(RuntimeError, match=r"^configuration 0: 7: run failed$") as info:
+            run_experiment(spec)
+        assert info.value.__cause__ is original
 
     def test_empty_configurations_rejected(self):
         with pytest.raises(ValueError):
@@ -492,3 +509,22 @@ class TestSharedClaims:
         with pytest.raises(ValueError, match="run failed"):
             run_experiment(builtin_set("set1", ticks=50, repetitions=2), jobs=2)
         assert 1 <= len(log.read_text().splitlines()) <= 2
+
+    def test_a_dead_worker_stops_the_caller(self, monkeypatch):
+        # the worker dies on its first claim; the pool's done-callback then
+        # ends the caller's claims after a run or two of its 39
+        caller = os.getpid()
+        ran = []
+
+        def die_in_worker(task):
+            if os.getpid() != caller:
+                os._exit(3)
+            time.sleep(0.05)
+            ran.append(task)
+            return 0
+
+        monkeypatch.setattr(ex, "_run_total", die_in_worker)
+        spec = builtin_set("set1", ticks=1, repetitions=4)  # 40 runs
+        with pytest.raises(ChildProcessError, match="a sweep worker process died"):
+            run_experiment(spec, jobs=2)
+        assert len(ran) <= 5, len(ran)

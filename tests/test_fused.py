@@ -40,7 +40,8 @@ import pytest
 from avflock import builtin_set, engine
 from avflock.agents import ActionKind, random_walk_step, social_step
 from avflock.core import (AgentState, CollisionRule, Scenario, SimParams,
-                          Team, WorldState, displace, torus_distance_xy)
+                          Team, WorldState, displace, heading_unit,
+                          torus_distance_xy)
 from avflock.engine import SpatialGrid, detect_collisions, setup, tick
 
 
@@ -543,7 +544,7 @@ def _fastest_listed(index) -> float:
     speeds 0 and q, or q alone, on head-on headings, which it adds to the
     memo of `index`: the largest with 2 * step <= skin."""
     for hd in (90.0, 270.0):  # the memo's arc is then 180 degrees
-        engine._sincos(index.trig, hd)
+        index.trig[hd] = heading_unit(hd)
     # about where 2 * step == skin: step = moves * (2 q + 1e-9 q + 2 ulp)
     q = (index.skin / (2.0 * index.moves) - 2.0 * index.grid.ulp) / (2.0 + 1e-9)
     while 2.0 * _step(index, [0.0, q]) <= index.skin:
@@ -617,7 +618,7 @@ def test_source_drops_the_state_of_the_others():
     # and a held cache with a list, and a grid tick drops either
     index = engine._Index(SimParams())
     xs, ys = [1.0, 2.0], [3.0, 4.0]
-    engine._sincos(index.trig, 90.0)  # the movers' heading
+    index.trig[90.0] = heading_unit(90.0)  # the movers' heading
     index.held = [(0, [1])]
     # agent 1 moves: half stopped
     index.pairs(xs, ys, [0.0, 0.3], [1])
@@ -653,7 +654,7 @@ def test_source_holds_state_only_where_the_last_tick_left_the_agents(
     xs, ys = [1.0, 2.0, 5.0], [3.0, 4.0, 5.0]
     assert index.source(xs, ys) is False  # nothing recorded: a first tick
     index.xs, index.ys = xs, ys  # as `tick` records them
-    engine._sincos(index.trig, 90.0)  # the movers' heading
+    index.trig[90.0] = heading_unit(90.0)  # the movers' heading
     index.pairs(xs, ys, speeds, moved)
     assert _served(index) == source
     held = index.held
@@ -1132,3 +1133,21 @@ def test_list_returning_from_the_cache_is_rebuilt(monkeypatch):
         assert _state(fused) == _state(ref), t
     assert audit.sources == ["list"] + ["cache"] * 4 + ["list"] * 3
     assert fused.total_collisions == 1
+
+
+# -1e-18 % 30.0 rounds to 30.0, off the torus: each move kernel puts such a
+# coordinate at 0.0, as displace's _wrap1 does. At the origin, heading 270 at
+# 1e-18 m/s sends both axes of the first move there; heading 0 at -1e-18
+# sends y, and then, on any random turn but 0, both axes of the second move.
+# Agent 0 draws first: its first turn on seed 0 is 49 degrees.
+@pytest.mark.parametrize("scenario", Scenario)
+@pytest.mark.parametrize("heading, speed", [(270.0, 1e-18), (0.0, -1e-18)])
+def test_moves_wrap_a_rounding_to_the_far_edge(scenario, heading, speed):
+    fused, ref = _hand_made([(0.0, 0.0, heading, speed), (10.0, 10.0, 90.0, 0.25),
+                             (20.0, 20.0, 180.0, 0.25), (15.0, 5.0, 0.0, 0.25)])
+    for world in (fused, ref):
+        world.params = dataclasses.replace(world.params, scenario=scenario)
+    for t in range(3):
+        tick(fused)
+        oracle_tick(ref)
+        assert _state(fused) == _state(ref), t

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from avflock import richardson
+from avflock.agents import ActionKind
 from avflock.cli import main
+from avflock.core import AgentState, SimParams, Team, WorldState
+from avflock.engine import tick
 from avflock.richardson import (PairState, RichardsonParams, Stability,
                                 fixed_point, simulate, spectral_radius,
                                 stability, stable_preset, step)
@@ -268,3 +271,22 @@ class TestClosedForm:
             assert abs(final.v2 - want2) <= tol2
             done += 1
 
+
+
+def test_map_is_the_engine_on_a_mutually_threatened_pair():
+    # two vehicles 0.5 m apart in one lane: each is the other's threat on
+    # every tick and takes its speed less the deceleration, which is the map
+    # with the speeds as the state, alpha = -1, delta = 1 and g*h = -decel
+    params = SimParams(n_red=1, n_black=1, min_velocity=0.5, max_velocity=0.9,
+                       deceleration=0.05)
+    world = WorldState(agents=[AgentState(0, Team.RED, 10.0, 10.0, 90.0, 0.9),
+                               AgentState(1, Team.BLACK, 10.5, 10.0, 90.0, 0.6)],
+                       params=params, rng=random.Random(0))
+    speeds = []
+    for _ in range(8):
+        tick(world)
+        assert world.last_actions == [ActionKind.MIRROR] * 2
+        speeds.append(PairState(world.agents[0].speed, world.agents[1].speed))
+    rich = RichardsonParams(alpha1=-1.0, alpha2=-1.0, delta1=1.0, delta2=1.0,
+                            g1=1.0, h1=-0.05, g2=1.0, h2=-0.05)
+    assert speeds == simulate(PairState(0.9, 0.6), rich, 8)[1:]
