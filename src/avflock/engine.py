@@ -38,9 +38,8 @@ _Index.held keeps the cache or the list across ticks, never both, and
 _Index.source drops it unless every agent is where the last tick left it.
 Each source yields exactly what SpatialGrid.scan yields.
 
-`run` writes the trace once per tick. A row's heading, speed and action
-text repeats across agents and ticks, so it is memoised per value; only
-x and y are formatted for every row.
+`run` writes the trace once per tick, one f-string of reprs per row; the
+",id," text of each agent is formatted once per run.
 
 A collision event is a pair entering the collision radius, debounced by
 the previous tick's pairs (world.active_pairs); agents keep only tallies.
@@ -129,11 +128,7 @@ class SpatialGrid:
         sx, sy = self._sx, self._sy
         for i in range(len(xs)):
             key = int(xs[i] * sx) * ny + int(ys[i] * sy)
-            b = buckets.get(key)
-            if b is None:
-                buckets[key] = [i]
-            else:
-                b.append(i)
+            buckets.setdefault(key, []).append(i)
 
     def key(self, x: float, y: float) -> int:
         """The bucket key of the cell holding the wrapped position (x, y)."""
@@ -157,11 +152,7 @@ class SpatialGrid:
                     del buckets[old]
                 else:
                     b.remove(i)
-                b = buckets.get(key)
-                if b is None:
-                    buckets[key] = [i]
-                else:
-                    b.append(i)
+                buckets.setdefault(key, []).append(i)
                 cells[i] = key
 
     def ring(self, key: int) -> tuple[int, ...]:
@@ -238,14 +229,8 @@ class SpatialGrid:
             # are these 4
             if ny <= key < last_x and 0 < key % ny < last_y:
                 e = key + ny
-                # most cells of a sparse grid have no occupied larger-key
-                # neighbor: probe before building the partner list
-                if (key + 1 in buckets or e - 1 in buckets or e in buckets
-                        or e + 1 in buckets):
-                    others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),
-                              *get(e + 1, ())]
-                else:
-                    others = []
+                others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),
+                          *get(e + 1, ())]
             else:
                 after = edges.get(key)
                 if after is None:
@@ -357,9 +342,8 @@ class StaticCache:
         static, cells = self.static, self.cells
         dirty: list[int] = []
         thaw = [i for i in moved if static[i]]
-        if thaw:  # on most ticks no agent thaws and none freezes
-            for i, block in zip(thaw, g.around([cells[i] for i in thaw])):
-                self._unlink(i, block, dirty)
+        for i, block in zip(thaw, g.around([cells[i] for i in thaw])):
+            self._unlink(i, block, dirty)
         if self.n_static + len(moved) < len(speeds):
             for i, sp in enumerate(speeds):
                 if sp == 0.0 and not static[i]:
@@ -757,32 +741,15 @@ def _random_move(agents: list[AgentState], speeds: list[float],
         a.random_behaviour = not a.random_behaviour
 
 
-def _trace_rows(world: WorldState, tails: dict) -> str:
+def _trace_rows(world: WorldState, prefixes: list[str]) -> str:
     """This tick's trace rows, tick,agent,x,y,heading,speed,action, one per
-    agent.
-
-    `tails` memoises the ",heading,speed,action" text per value. Values that
-    compare equal can print differently (-0.0 and 0.0, 90 and 90.0), so only
-    floats other than -0.0 share it; any other row is formatted whole.
-    """
-    t = world.tick
-    copysign = math.copysign
-    rows = []
-    for a, kind in zip(world.agents, world.last_actions):
-        hd = a.heading
-        sp = a.speed
-        if (type(hd) is type(sp) is float
-                and (hd or copysign(1.0, hd) > 0.0)
-                and (sp or copysign(1.0, sp) > 0.0)):
-            # an Enum member hashes in Python code, its str value in C
-            key = (hd, sp, kind._value_)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f",{hd!r},{sp!r},{kind.value}\n"
-        else:
-            tail = f",{hd!r},{sp!r},{kind.value}\n"
-        rows.append(f"{t},{a.id},{a.x!r},{a.y!r}{tail}")
-    return "".join(rows)
+    agent; `prefixes` holds each agent's ",id," text."""
+    t = str(world.tick)
+    # `_value_`: Enum's `value` is a property run in Python code, and it
+    # cost the rows 14-20%
+    return "".join([
+        f"{t}{pre}{a.x!r},{a.y!r},{a.heading!r},{a.speed!r},{kind._value_}\n"
+        for a, pre, kind in zip(world.agents, prefixes, world.last_actions)])
 
 
 def run(params: SimParams, seed: int, trace=None) -> RunResult:
@@ -794,11 +761,11 @@ def run(params: SimParams, seed: int, trace=None) -> RunResult:
     world = setup(params, seed)
     if trace is not None:
         trace.write("tick,agent,x,y,heading,speed,action\n")
-        tails: dict = {}
+        prefixes = [f",{a.id}," for a in world.agents]
     for _ in range(params.ticks):
         tick(world)
         if trace is not None:
-            trace.write(_trace_rows(world, tails))
+            trace.write(_trace_rows(world, prefixes))
     red = sum(a.collisions for a in world.agents if a.team is Team.RED)
     black = sum(a.collisions for a in world.agents if a.team is Team.BLACK)
     return RunResult(

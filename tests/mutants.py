@@ -4,9 +4,7 @@ Each mutant replaces one exact snippet of a source file, which must occur
 there exactly once, and names the test node ids expected to kill it. A
 mutant that is expected to live carries a note that starts "survives:"
 (no test kills it, and why that is accepted) or "equivalent:" (no
-program behaves differently, and why). A note that starts "racy:" marks
-a mutant whose killers catch it only when processes interleave one way,
-so either outcome is expected.
+program behaves differently, and why).
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # only these
@@ -51,7 +49,7 @@ class Mutant:
     snippet: str  # occurs exactly once in `file`
     replacement: str
     killers: tuple[str, ...]  # test node ids, relative to the root
-    note: str = ""  # "survives: ...", "equivalent: ..." or "racy: ...", with the reason
+    note: str = ""  # "survives: ..." or "equivalent: ...", with the reason
 
 
 MUTANTS = (
@@ -165,16 +163,11 @@ MUTANTS = (
         "equivalent: key == last_x = (nx - 1) * ny is row 0 of the last column, "
         "and key % ny == 0 already fails the row test"),
     Mutant(
-        "cache_thaws_without_the_guard", "src/avflock/engine.py",
-        "        if thaw:  # on most ticks no agent thaws and none freezes\n"
-        "            for i, block in zip(thaw, g.around([cells[i] for i in thaw])):\n"
-        "                self._unlink(i, block, dirty)\n",
+        "cache_keeps_thawing_agents", "src/avflock/engine.py",
         "        for i, block in zip(thaw, g.around([cells[i] for i in thaw])):\n"
-        "            self._unlink(i, block, dirty)\n",
+        "            self._unlink(i, block, dirty)\n", "",
         (FUSED + "test_static_cache_from_an_all_stopped_start",
-         FUSED + "test_static_cache_flock_crosses_half_both_ways"),
-        "equivalent: with no agent thawing, around([]) yields nothing and no "
-        "agent is unlinked; the guard only skips building the empty key list"),
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
     Mutant(
         "unlink_leaves_dirty_empty", "src/avflock/engine.py",
         "            if near[k] == i and static[k]:\n"
@@ -227,6 +220,21 @@ MUTANTS = (
         "new_list_on_one_tick_of_skin", "src/avflock/engine.py",
         "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
         "        elif step <= self.skin and len(xs) <= self.cap:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",)),
+    Mutant(
+        "cache_gate_strict", "src/avflock/engine.py",
+        "        if 2 * len(moved) <= len(xs):\n",
+        "        if 2 * len(moved) < len(xs):\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",)),
+    Mutant(
+        "new_list_step_bound_strict", "src/avflock/engine.py",
+        "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
+        "        elif 2.0 * step < self.skin and len(xs) <= self.cap:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",)),
+    Mutant(
+        "new_list_density_bound_strict", "src/avflock/engine.py",
+        "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
+        "        elif 2.0 * step <= self.skin and len(xs) < self.cap:\n",
         (FUSED + "test_source_takes_each_bound_inclusively",)),
     Mutant(
         "held_list_serves_without_slack", "src/avflock/engine.py",
@@ -289,9 +297,28 @@ MUTANTS = (
         (PARTNERS,)),
     Mutant(
         "partners_drop_key_plus_ny_minus_one", "src/avflock/engine.py",
-        "                    others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),\n",
-        "                    others = [*get(key + 1, ()), *get(e, ()),\n",
+        "                others = [*get(key + 1, ()), *get(e - 1, ()), *get(e, ()),\n",
+        "                others = [*get(key + 1, ()), *get(e, ()),\n",
         (PARTNERS,)),
+    Mutant(
+        "partners_drop_key_plus_ny_plus_one", "src/avflock/engine.py",
+        "                          *get(e + 1, ())]\n",
+        "                          ]\n",
+        (PARTNERS,)),
+    Mutant(
+        "rebuild_keeps_one_agent_per_cell", "src/avflock/engine.py",
+        "            key = int(xs[i] * sx) * ny + int(ys[i] * sy)\n"
+        "            buckets.setdefault(key, []).append(i)\n",
+        "            key = int(xs[i] * sx) * ny + int(ys[i] * sy)\n"
+        "            buckets[key] = [i]\n",
+        (PARTNERS, FUSED + "test_fused_pass_equals_brute_force")),
+    Mutant(
+        "move_drops_the_mover", "src/avflock/engine.py",
+        "                buckets.setdefault(key, []).append(i)\n"
+        "                cells[i] = key\n",
+        "                cells[i] = key\n",
+        (FUSED + "test_static_cache_flock_crosses_half_both_ways",
+         FUSED + "test_static_cache_from_an_all_stopped_start")),
     Mutant(
         "failed_run_leaves_the_counter", "src/avflock/experiments.py",
         "            counter.value = len(order)\n"
@@ -320,9 +347,7 @@ MUTANTS = (
         "            counter.value = k + 1\n",
         "        k = counter.value\n"
         "        counter.value = k + 1\n",
-        (CLAIMS + "test_every_run_starts_once",),
-        "racy: two processes then claim the same run in about 1 of 600 "
-        "claims, which the stress test catches in some runs and not in others"),
+        (CLAIMS + "test_two_claims_never_take_one_run",)),
     Mutant(
         "failed_worker_without_the_callback", "src/avflock/experiments.py",
         "                for future in futures:\n"
@@ -367,6 +392,24 @@ MUTANTS = (
         "            a.x = xs[i] = x\n",
         (WRAP,)),
     Mutant(
+        "trace_tick_before_the_tick", "src/avflock/engine.py",
+        "    t = str(world.tick)\n", "    t = str(world.tick - 1)\n",
+        (GOLDEN + "test_trace_digest_pinned",)),
+    Mutant(
+        "trace_swaps_heading_and_speed", "src/avflock/engine.py",
+        "{a.heading!r},{a.speed!r}", "{a.speed!r},{a.heading!r}",
+        (GOLDEN + "test_trace_digest_pinned",)),
+    Mutant(
+        "trace_actions_out_of_order", "src/avflock/engine.py",
+        "        for a, pre, kind in zip(world.agents, prefixes, world.last_actions)])\n",
+        "        for a, pre, kind in zip(world.agents, prefixes, world.last_actions[::-1])])\n",
+        (GOLDEN + "test_trace_digest_pinned",)),
+    Mutant(
+        "trace_prefix_off_by_one", "src/avflock/engine.py",
+        "        prefixes = [f\",{a.id},\" for a in world.agents]\n",
+        "        prefixes = [f\",{a.id + 1},\" for a in world.agents]\n",
+        (GOLDEN + "test_trace_digest_pinned",)),
+    Mutant(
         "heading_unit_swaps_sin_and_cos", "src/avflock/core.py",
         "    return math.sin(rad), math.cos(rad)\n",
         "    return math.cos(rad), math.sin(rad)\n",
@@ -388,6 +431,10 @@ MUTANTS = (
         "    if seed < -1:\n",
         ("tests/test_experiments.py::TestRunExperiment::test_negative_base_seed_rejected",
          CLI + "TestBadInput::test_negative_seed_exits_two")),
+    Mutant(
+        "module_entry_ignores_the_exit_code", "src/avflock/cli.py",
+        "    sys.exit(main())\n", "    main()\n",
+        (CLI + "test_module_entry_exits_with_mains_code",)),
     Mutant(
         "compare_takes_batches", "src/avflock/cli.py",
         "                     exclude=(\"name\", \"configurations\", \"batches\"))\n",
@@ -465,8 +512,7 @@ def main(argv: list[str]) -> int:
     bad, survivors = 0, []
     for m in mutants:
         outcome = _outcome(m)
-        ok = (outcome in ("survived", "killed") if m.note.startswith("racy: ")
-              else outcome == ("survived" if m.note else "killed"))
+        ok = outcome == ("survived" if m.note else "killed")
         bad += not ok
         if outcome == "survived":
             survivors.append(m.name)

@@ -293,6 +293,24 @@ def test_package_version_is_the_module_version():
     assert project["version"] == __version__
 
 
+def _python(cwd, *args) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports this avflock."""
+    src = str(Path(avflock.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_exits_with_mains_code(tmp_path):
+    proc = _python(tmp_path, "-m", "avflock.cli", "version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"avflock {__version__}\n", "")
+    proc = _python(tmp_path, "-m", "avflock.cli", "run", "--ticks", "0")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -626,15 +644,7 @@ class TestRangeWarnings:
     def _main_stderr(tmp_path, *argv) -> str:
         # a fresh interpreter: the warning registry of this one may already
         # hold the messages, which would hide a repeat
-        src = str(Path(avflock.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from avflock.cli import main; sys.exit(main(sys.argv[1:]))",
-             *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        proc = _python(tmp_path, "-m", "avflock.cli", *argv)
         assert proc.returncode == 0
         return proc.stderr
 

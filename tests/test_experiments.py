@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import statistics
+import threading
 import time
 import warnings
 
@@ -485,6 +486,44 @@ class TestSharedClaims:
         started = {jobs: log.read_text().splitlines() for jobs, log in logs.items()}
         assert len(started[1]) == len(set(started[1])) == 200
         assert sorted(started[4]) == sorted(started[1])
+
+    def test_two_claims_never_take_one_run(self, monkeypatch):
+        # the counter's reads meet at a barrier: two claims without the lock
+        # both read an index before either writes it back, and start that
+        # run twice. Under the lock the read waits out the barrier alone
+        class Counter:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.meet = threading.Barrier(2, timeout=0.05)
+                self.next = 0
+
+            def get_lock(self):
+                return self.lock
+
+            @property
+            def value(self):
+                k = self.next
+                try:
+                    self.meet.wait()
+                except threading.BrokenBarrierError:
+                    self.meet.reset()
+                return k
+
+            @value.setter
+            def value(self, k):
+                self.next = k
+
+        started = []
+        monkeypatch.setattr(ex, "_run_total", lambda task: started.append(task) or 0)
+        tasks = list(range(6))
+        counter = Counter()
+        claims = [threading.Thread(target=ex._drain, args=(tasks, tasks, counter))
+                  for _ in range(2)]
+        for claim in claims:
+            claim.start()
+        for claim in claims:
+            claim.join()
+        assert sorted(started) == tasks
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failed_run_stops_every_process(self, monkeypatch, tmp_path, jobs):

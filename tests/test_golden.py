@@ -13,8 +13,8 @@ The trace pins hash the full text `run(params, seed, trace=buf)` writes for
 300 ticks, 40 + 40 agents: social plain (Keep, Mirror and Accelerate rows,
 speeds of 0.0), social literal (Mirror at a nonzero speed), set2 social
 (deep freeze) and random walk. They were generated from the engine that
-wrote one f-string per row, before the trace writer memoised each row's
-heading, speed and action text and wrote once per tick.
+wrote one f-string per row, before the trace writer wrote once per tick
+and, for a time, memoised each row's heading, speed and action text.
 
 A changed digest is a behaviour change: explain it in CHANGES.md, never
 regenerate the pins to make a diff pass.
