@@ -1,5 +1,5 @@
 """Command-line surface: single runs, sweeps, scenario comparison, and
-relative-position trajectory dumps.
+trajectory dumps of the two-vehicle Richardson map.
 
 The CLI is a thin shell over the library; it owns flag parsing, exit codes
 (0 ok, 2 usage error, 1 runtime failure) and file emission only; the fields of
@@ -255,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_rich = sub.add_parser(
-        "richardson",
-        help="dump a trajectory of the two-vehicle relative-position dynamics")
+    p_rich = sub.add_parser("richardson", help=(
+        "dump a trajectory of the two-vehicle Richardson map; in the engine's "
+        "regime, v1 and v2 are the two speeds"))
     _add_param_flags(p_rich, "coefficients", RichardsonParams)
     p_rich.add_argument("--v1", type=float, default=1.0, help="initial v1")
     p_rich.add_argument("--v2", type=float, default=0.0, help="initial v2")

@@ -6,8 +6,8 @@ in id order, actions are applied in id order, then collisions are detected
 on the post-move positions. The random-walk scenario interleaves its two
 moves per agent as the baseline procedure dictates; its behavior reads no
 neighbor state, so per-agent application is snapshot-equivalent.
-Tick phases: snapshot, _Index.source, _social_move or _random_move,
-_Index.pairs, _decide (social only), _tally.
+Tick phases: _Index.admit, _social_move or _random_move, _Index.pairs,
+_decide (social only), _tally.
 
 Behavior and collision detection read the same post-move positions, so a
 tick makes one pass over unordered agent pairs (SpatialGrid.scan), each
@@ -18,11 +18,11 @@ agent within sonar range is a threat exactly when it lies within that cut.
 That pair rule lives in `_measure` alone; every pass only builds its
 partner lists.
 
-`tick` takes one snapshot of the agents' speeds, headings and positions;
-the move kernel writes the new positions into it as well as into the
-agents, and the grid, the cache, the list and `_measure` all read that one
-snapshot. Both scenarios take the tick's pairs from one pair step,
-_Index.pairs, the only code that picks one of three sources:
+`_Index.admit` takes one snapshot of the agents' speeds, headings and
+positions; the move kernel writes the new positions into it as well as
+into the agents, and the grid, the cache, the list and `_measure` all read
+that one snapshot. Both scenarios take the tick's pairs from one pair
+step, _Index.pairs, the only code that picks one of three sources:
 - at least half stopped, StaticCache. An agent with speed 0 does not
   move, so its distances to other stopped agents repeat bit for bit, and
   stopped social agents pile into clusters. The cache keeps the stopped
@@ -35,7 +35,7 @@ _Index.pairs, the only code that picks one of three sources:
   moves twice a tick, so its skin is twice the social one.
 - else the grid pass.
 _Index.held keeps the cache or the list across ticks, never both, and
-_Index.source drops it unless every agent is where the last tick left it.
+_Index.admit drops it unless every agent is where the last tick left it.
 Each source yields exactly what SpatialGrid.scan yields.
 
 `run` writes the trace once per tick, one f-string of reprs per row; the
@@ -206,12 +206,9 @@ class SpatialGrid:
         if reach > self.cell_size:
             raise ValueError(f"query reach {reach} exceeds cell size {self.cell_size}")
         self.rebuild(xs, ys)
-        n = len(xs)
-        pairs: set[tuple[int, int]] = set()
-        near = [-1] * n
-        _measure(self._partners(), xs, ys, self.width, self.height, radius,
-                 cut, pairs, [math.inf] * n, near)
-        return pairs, near
+        near = [-1] * len(xs)
+        return _measure(self._partners(), xs, ys, self.width, self.height,
+                        radius, cut, [math.inf] * len(xs), near), near
 
     def _partners(self):
         """Yield each agent with its partners: the agents after it in its
@@ -247,18 +244,19 @@ class SpatialGrid:
 
 
 def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
-             radius: float, cut: float, pairs: set[tuple[int, int]],
-             best: list[float], near: list[int]) -> None:
+             radius: float, cut: float, best: list[float],
+             near: list[int]) -> set[tuple[int, int]]:
     """Measure agent i against each of its partners, for every (i, partners)
     in `todo`, on the w x h torus.
 
-    A pair strictly inside `radius` is added to `pairs` as (lower id, higher
-    id). A pair at most `cut` apart is merged into both agents' nearest,
-    `best` the distance and `near` the id, ties to the lowest id.
+    Returns the pairs strictly inside `radius`, as (lower id, higher id). A
+    pair at most `cut` apart is merged into both agents' nearest, `best` the
+    distance and `near` the id, ties to the lowest id.
     """
     # hypot is never below max(dx, dy), so a pair with dx or dy beyond
     # this bound is outside both radius and cut
     far = max(radius, cut)
+    pairs = set()
     hypot = math.hypot
     for i, partners in todo:
         xi = xs[i]
@@ -288,6 +286,7 @@ def _measure(todo, xs: list[float], ys: list[float], w: float, h: float,
                 if d < best[j] or (d == best[j] and i < near[j]):
                     best[j] = d
                     near[j] = i
+    return pairs
 
 
 class StaticCache:
@@ -361,8 +360,8 @@ class StaticCache:
                 self.near[j] = -1
             todo = [(j, [k for k in block if static[k] and k != j]) for j, block
                     in zip(dirty, g.around([cells[j] for j in dirty]))]
-            _measure(todo, xs, ys, g.width, g.height, radius, cut, self.pairs,
-                     self.best, self.near)
+            self.pairs |= _measure(todo, xs, ys, g.width, g.height, radius,
+                                   cut, self.best, self.near)
 
         # each mover with every other agent in its 3x3 neighborhood: a pair
         # of movers is measured from both ends, to the same result
@@ -372,11 +371,9 @@ class StaticCache:
             if len(others) > 1:  # most movers are alone around their cell
                 others.remove(i)
                 todo.append((i, others))
-        pairs: set[tuple[int, int]] = set()
         near = self.near[:]
-        _measure(todo, xs, ys, g.width, g.height, radius, cut, pairs,
-                 self.best[:], near)
-        return self.pairs | pairs, near
+        return self.pairs | _measure(todo, xs, ys, g.width, g.height, radius,
+                                     cut, self.best[:], near), near
 
 
 @dataclass(frozen=True)
@@ -507,8 +504,7 @@ class _Index:
         self.grid = SpatialGrid(w, h, reach)
         self.trig: dict[float, tuple[float, float]] = {}
         self.held: StaticCache | list[tuple[int, list[int]]] | None = None
-        self.xs: list[float] | None = None
-        self.ys: list[float] | None = None
+        self.xs = self.ys = None  # the last tick's snapshot, none yet
         self.moves = 1.0 if social else 2.0
         self.skin = 2.0 * reach * self.moves
         self.wide = SpatialGrid(w, h, reach + self.skin)
@@ -519,16 +515,39 @@ class _Index:
         self.known = 0  # the trig memo's size when `arc` was last taken
         self.slack = 0.0
 
-    def source(self, xs: list[float], ys: list[float]) -> bool:
-        """Whether the agents start this tick at (xs, ys) where the last
-        tick left them, the recorded snapshot; drops the held source unless
-        so: a caller may edit the world. The move kernels write the same
-        float objects into the agents and the snapshot, so the compare runs
-        by identity."""
+    def admit(self, agents: list[AgentState]) -> tuple[list[float], ...]:
+        """The snapshot (speeds, headings, xs, ys) that starts a tick. Before
+        any agent moves, a ValueError names the first agent with a non-finite
+        speed or heading or, when the positions differ from the last tick's
+        recorded snapshot, off the torus; a difference also drops the held
+        source. The move kernels write the same float objects into the agents
+        and the snapshot, so the compare runs by identity."""
+        speeds = [a.speed for a in agents]
+        headings = [a.heading for a in agents]
+        # one C-level pass each; a sum of finite values can still overflow
+        if not math.isfinite(sum(speeds) + sum(headings)):
+            for a, speed, heading in zip(agents, speeds, headings):
+                for field, value in (("speed", speed), ("heading", heading)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"agent {a.id} has a non-finite {field} {value!r}")
+        xs = [a.x for a in agents]
+        ys = [a.y for a in agents]
         if xs != self.xs or ys != self.ys:
+            # a first tick, new params or a caller's edit: the kernels keep the
+            # torus, a caller need not; the sum catches a nan min and max skip
             self.held = None
-            return False
-        return True
+            w, h = self.params.world_width, self.params.world_height
+            if xs and not (0.0 <= min(xs) and max(xs) < w
+                           and 0.0 <= min(ys) and max(ys) < h
+                           and math.isfinite(sum(xs) + sum(ys))):
+                for a, x, y in zip(agents, xs, ys):
+                    for field, value, top in (("x", x, w), ("y", y, h)):
+                        if not 0.0 <= value < top:
+                            raise ValueError(f"agent {a.id} has {field} {value!r} "
+                                             f"outside [0, {top!r})")
+        # only once they passed: the move kernel moves them with the agents
+        self.xs, self.ys = xs, ys
+        return speeds, headings, xs, ys
 
     def pairs(self, xs: list[float], ys: list[float], speeds: list[float],
               moved: list[int]) -> tuple[set[tuple[int, int]], list[int]]:
@@ -568,12 +587,9 @@ class _Index:
         else:
             self.held = None
             return self.grid.scan(xs, ys, radius, cut)
-        n = len(xs)
-        pairs: set[tuple[int, int]] = set()
-        near = [-1] * n
-        _measure(held, xs, ys, self.grid.width, self.grid.height, radius,
-                 cut, pairs, [math.inf] * n, near)
-        return pairs, near
+        near = [-1] * len(xs)
+        return _measure(held, xs, ys, self.grid.width, self.grid.height,
+                        radius, cut, [math.inf] * len(xs), near), near
 
     def _arc(self) -> float:
         """The narrowest arc, in degrees, that covers every heading of the
@@ -597,35 +613,7 @@ def tick(world: WorldState) -> WorldState:
     if index is None or index.params is not p:
         index = world.index = _Index(p)
     agents = world.agents
-    speeds = [a.speed for a in agents]
-    headings = [a.heading for a in agents]
-    # one C-level pass each; a sum of finite values can still overflow
-    if not math.isfinite(sum(speeds) + sum(headings)):
-        for a in agents:
-            for field in ("speed", "heading"):
-                value = getattr(a, field)
-                if not math.isfinite(value):
-                    raise ValueError(f"agent {a.id} has a non-finite {field} {value!r}")
-    xs = [a.x for a in agents]
-    ys = [a.y for a in agents]
-    if not index.source(xs, ys):
-        # a first tick, new params or a caller's edit: the move kernels keep
-        # every agent on the torus, but a caller need not. min and max skip
-        # a nan after the first element; the sum does not
-        w, h = p.world_width, p.world_height
-        if xs and not (0.0 <= min(xs) and max(xs) < w
-                       and 0.0 <= min(ys) and max(ys) < h
-                       and math.isfinite(sum(xs) + sum(ys))):
-            for a in agents:
-                for field, top in (("x", w), ("y", h)):
-                    value = getattr(a, field)
-                    if not 0.0 <= value < top:
-                        raise ValueError(f"agent {a.id} has {field} {value!r} "
-                                         f"outside [0, {top!r})")
-    # only once the positions passed: the move kernel moves these with the
-    # agents, and the next tick compares with them
-    index.xs = xs
-    index.ys = ys
+    speeds, headings, xs, ys = index.admit(agents)
     # the agents with a nonzero speed: 0.0 and -0.0 are false
     moved = list(compress(range(len(agents)), speeds))
     social = p.scenario is Scenario.ALL_SOCIAL_AVS

@@ -1,8 +1,8 @@
-"""Two-vehicle relative-position dynamics (Richardson arms-race form).
+"""Two-vehicle pair dynamics (Richardson arms-race form).
 
-The analytic counterpart of the mentalizing/mirroring behavior: a coupled
-pair of linear difference equations over the relative positions v1, v2 of
-two vehicles. In standard form the update is affine,
+The analytic counterpart of the mirroring behavior: a coupled pair of linear
+difference equations over a state v1, v2, in the engine's regime the two
+vehicles' speeds. In standard form the update is affine,
 
     v1(n) = b1*v1(n-1) + d1*v2(n-1) + g1*h1
     v2(n) = d2*v1(n-1) + b2*v2(n-1) + g2*h2
@@ -57,7 +57,7 @@ def stable_preset() -> RichardsonParams:
 
 
 class PairState(NamedTuple):
-    """Relative position of each vehicle with respect to the other (m)."""
+    """The pair's state; in the engine's regime, the two speeds (m/tick)."""
 
     v1: float
     v2: float

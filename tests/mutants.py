@@ -40,6 +40,8 @@ CLI = "tests/test_cli.py::"
 CHECK_FIELDS = "tests/test_core.py::test_check_fields_names_the_field"
 GOLDEN = "tests/test_golden.py::"
 WRAP = FUSED + "test_moves_wrap_a_rounding_to_the_far_edge"
+MIRROR_MAP = ("tests/test_richardson.py::"
+              "test_map_is_the_engine_on_a_mutually_threatened_pair")
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,22 @@ MUTANTS = (
     Mutant(
         "source_keeps_a_moved_list", "src/avflock/engine.py",
         "            self.held = None\n"
-        "            return False\n",
-        "            return False\n",
+        "            w, h = self.params.world_width, self.params.world_height\n",
+        "            w, h = self.params.world_width, self.params.world_height\n",
         (FUSED + "test_source_holds_state_only_where_the_last_tick_left_the_agents",
          FUSED + "test_list_follows_caller_edits[move]")),
+    Mutant(
+        "admit_ignores_caller_edits", "src/avflock/engine.py",
+        "        if xs != self.xs or ys != self.ys:\n",
+        "        if self.xs is None:\n",
+        (FUSED + "test_list_follows_caller_edits[move]",
+         FUSED + "test_static_cache_follows_caller_edits[move_stopped]", POSITIONS)),
+    Mutant(
+        "cache_not_held", "src/avflock/engine.py",
+        "                held = self.held = StaticCache(self.grid, xs, ys)\n",
+        "                held = StaticCache(self.grid, xs, ys)\n",
+        (FUSED + "test_list_returning_from_the_cache_is_rebuilt",
+         FUSED + "test_list_hands_over_to_the_cache_and_back")),
     Mutant(
         "held_list_reused_as_the_cache", "src/avflock/engine.py",
         "            if not isinstance(held, StaticCache):\n",
@@ -189,6 +203,28 @@ MUTANTS = (
         "        dirty = [j for j in dirty]\n",
         (FUSED + "test_list_speed_gate_turns_off_and_on",)),
     Mutant(
+        "dirty_pass_pairs_dropped", "src/avflock/engine.py",
+        "            self.pairs |= _measure(", "            _measure(",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
+    Mutant(
+        "dirty_pass_replaces_the_static_pairs", "src/avflock/engine.py",
+        "            self.pairs |= _measure(", "            self.pairs = _measure(",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
+    Mutant(
+        "cache_returns_only_the_movers_pairs", "src/avflock/engine.py",
+        "        return self.pairs | _measure(", "        return _measure(",
+        (FUSED + "test_static_cache_from_an_all_stopped_start",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
+    Mutant(
+        "measure_pairs_shared_across_calls", "src/avflock/engine.py",
+        "    pairs = set()\n    hypot = math.hypot\n",
+        "    pairs = _measure.__dict__.setdefault('pairs', set())\n"
+        "    hypot = math.hypot\n",
+        (FUSED + "test_fused_pass_equals_brute_force",
+         FUSED + "test_static_cache_flock_crosses_half_both_ways")),
+    Mutant(
         "charge_drops_top_lo_corner", "src/avflock/engine.py",
         "        step = max(chord * top, math.hypot(top - lo, chord * "
         "math.sqrt(lo * top)))\n",
@@ -243,40 +279,66 @@ MUTANTS = (
         (FUSED + "test_source_takes_each_bound_inclusively",
          FUSED + "test_list_serves_several_ticks_and_rebuilds_on_slack")),
     Mutant(
+        "list_slack_not_decremented", "src/avflock/engine.py",
+        "            self.slack -= step\n", "            pass\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_serves_several_ticks_and_rebuilds_on_slack")),
+    Mutant(
+        "new_list_keeps_the_old_slack", "src/avflock/engine.py",
+        "            self.slack = self.skin * (1.0 - 1e-9)\n", "",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_serves_several_ticks_and_rebuilds_on_slack")),
+    Mutant(
+        "charge_top_on_max_speed_alone", "src/avflock/engine.py",
+        "        top = max(max(speeds), -lo)\n", "        top = max(speeds)\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_charge_covers_each_branch[negative_speed]")),
+    Mutant(
+        "new_list_step_bound_flipped", "src/avflock/engine.py",
+        "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
+        "        elif 2.0 * step > self.skin and len(xs) <= self.cap:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_serves_the_fast_social_flock")),
+    Mutant(
+        "new_list_density_bound_flipped", "src/avflock/engine.py",
+        "        elif 2.0 * step <= self.skin and len(xs) <= self.cap:\n",
+        "        elif 2.0 * step <= self.skin and len(xs) > self.cap:\n",
+        (FUSED + "test_source_takes_each_bound_inclusively",
+         FUSED + "test_list_density_bound_counts_the_world[20-40-list]")),
+    Mutant(
         "arc_uncapped", "src/avflock/engine.py",
         "            self.arc = min(360.0 - gap, 180.0)\n",
         "            self.arc = 360.0 - gap\n",
         (FUSED + "test_list_exact_ties",)),
     Mutant(
         "speed_check_only_on_an_infinite_sum", "src/avflock/engine.py",
-        "    if not math.isfinite(sum(speeds) + sum(headings)):\n",
-        "    if math.isinf(sum(speeds) + sum(headings)):\n",
+        "        if not math.isfinite(sum(speeds) + sum(headings)):\n",
+        "        if math.isinf(sum(speeds) + sum(headings)):\n",
         ("tests/test_engine.py::TestTick::"
          "test_non_finite_speed_names_the_agent",)),
     Mutant(
         "check_skips_headings", "src/avflock/engine.py",
-        "    if not math.isfinite(sum(speeds) + sum(headings)):\n",
-        "    if not math.isfinite(sum(speeds)):\n",
+        "        if not math.isfinite(sum(speeds) + sum(headings)):\n",
+        "        if not math.isfinite(sum(speeds)):\n",
         ("tests/test_engine.py::TestTick::"
          "test_non_finite_heading_names_the_agent",)),
     Mutant(
         "position_check_skips_y", "src/avflock/engine.py",
-        "                       and 0.0 <= min(ys) and max(ys) < h\n", "",
+        "                           and 0.0 <= min(ys) and max(ys) < h\n", "",
         (POSITIONS,)),
     Mutant(
         "position_check_without_upper_bound", "src/avflock/engine.py",
-        "        if xs and not (0.0 <= min(xs) and max(xs) < w\n"
-        "                       and 0.0 <= min(ys) and max(ys) < h\n",
-        "        if xs and not (0.0 <= min(xs)\n"
-        "                       and 0.0 <= min(ys)\n",
+        "            if xs and not (0.0 <= min(xs) and max(xs) < w\n"
+        "                           and 0.0 <= min(ys) and max(ys) < h\n",
+        "            if xs and not (0.0 <= min(xs)\n"
+        "                           and 0.0 <= min(ys)\n",
         (POSITIONS,)),
     Mutant(
         "snapshot_recorded_before_the_check", "src/avflock/engine.py",
-        "    if not index.source(xs, ys):\n",
-        "    kept = index.source(xs, ys)\n"
-        "    index.xs = xs\n"
-        "    index.ys = ys\n"
-        "    if not kept:\n",
+        "        if xs != self.xs or ys != self.ys:\n",
+        "        moved = xs != self.xs or ys != self.ys\n"
+        "        self.xs, self.ys = xs, ys\n"
+        "        if moved:\n",
         (POSITIONS,)),
     Mutant(
         "partners_slice_includes_the_cell", "src/avflock/engine.py",
@@ -409,6 +471,15 @@ MUTANTS = (
         "        prefixes = [f\",{a.id},\" for a in world.agents]\n",
         "        prefixes = [f\",{a.id + 1},\" for a in world.agents]\n",
         (GOLDEN + "test_trace_digest_pinned",)),
+    Mutant(
+        "mirror_takes_its_own_speed", "src/avflock/engine.py",
+        "            sp = speeds[j] - decel\n", "            sp = speeds[i] - decel\n",
+        (MIRROR_MAP,)),
+    Mutant(
+        "literal_mirror_rounds_once", "src/avflock/engine.py",
+        "                sp = min(sp + acc, maxv)\n",
+        "                sp = min(speeds[j] + (acc - decel), maxv)\n",
+        ("tests/test_richardson.py::test_map_leaves_the_engine_under_literal_rules",)),
     Mutant(
         "heading_unit_swaps_sin_and_cos", "src/avflock/core.py",
         "    return math.sin(rad), math.cos(rad)\n",

@@ -606,3 +606,17 @@ def test_readme_engine_names_resolve():
         owner, _, attr = name.rpartition(".")
         owners = [getattr(engine, owner)] if owner else [engine, *classes]
         assert any(hasattr(o, attr) for o in owners), name
+
+
+def test_docstring_tick_phases_are_the_ticks():
+    # the engine docstring's "Tick phases:" line names each phase `tick`
+    # runs, `_name` on the module or `_Index.name`: each must resolve and be
+    # called by `tick`, so that a renamed phase cannot leave a stale name
+    line = re.search(r"Tick phases:(.*?\.)\n", engine.__doc__, re.S)[1]
+    names = re.findall(r"\b_Index\.\w+|\b_\w+", line)
+    assert {"_Index.admit", "_Index.pairs", "_decide", "_tally"} <= set(names)
+    body = inspect.getsource(engine.tick)
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        assert hasattr(engine._Index if owner else engine, attr), name
+        assert re.search(rf"\b{attr}\(", body), name

@@ -13,14 +13,14 @@ A tick of either scenario takes its pairs from one of three sources, all
 picked in _Index.pairs: StaticCache (at least half the flock stopped),
 else the neighbor list while it covers the step it is charged, or the grid
 pass. _Index.held keeps the cache or the list across ticks, and
-_Index.source drops it after a caller's edit. One audit wraps
+_Index.admit drops it after a caller's edit. One audit wraps
 _Index.pairs, the one pair step: after every tick it checks the pairs and
 nearest ids against a fresh scan of the agents and an O(n^2) reference,
 whatever served them, and records the source, which it reads off the kind
 of `held`; on a list tick it checks
 that no two agents moved relative to each other by more than the list was
 charged, and that the charge is the one formula's value. The bounds are
-tested on _Index.source and _Index.pairs themselves. The tests after
+tested on _Index.admit and _Index.pairs themselves. The tests after
 them run the audit on worlds that reach each corner of the cache (dense
 worlds that freeze and thaw for 1000 ticks) and of the list (slack
 rebuilds, a fast flock crossing the step bound both ways, hand-overs,
@@ -457,7 +457,7 @@ class _Audit:
             seen["served_again"] += slack < index.skin * (1.0 - 1e-9)
         else:
             assert 2.0 * step <= index.skin  # a new list lasts two ticks
-            if listed is not None:  # _Index.source drops a list the caller moved
+            if listed is not None:  # _Index.admit drops a list the caller moved
                 # (b) a list rebuilt only because its slack ran out
                 assert slack < step
                 seen["slack_rebuild"] += 1
@@ -572,9 +572,11 @@ def test_source_takes_each_bound_inclusively():
             slack, if given, held."""
             index.held, index.slack = held or (None, 0.0)
             zeros = index.xs = index.ys = [0.0] * len(speeds)
+            kept = index.held
+            speeds, _, xs, ys = index.admit(_lane(speeds, zeros, zeros))
+            assert index.held is kept  # where the last tick left them
             moved = [i for i, sp in enumerate(speeds) if sp]
-            assert index.source(zeros, zeros[:]) is True
-            index.pairs(zeros, zeros[:], speeds, moved)
+            index.pairs(xs, ys, speeds, moved)
             return _served(index)
 
         assert source([0.0, 0.0, q, q]) == "cache"  # exactly half stopped
@@ -599,18 +601,25 @@ def test_source_takes_each_bound_inclusively():
         assert index.slack == skin * (1.0 - 1e-9)
 
 
+def _lane(speeds, xs, ys):
+    """Agents at (xs[i], ys[i]) on heading 90 at speeds[i]."""
+    return [AgentState(i, Team.RED, x, y, 90.0, sp)
+            for i, (sp, x, y) in enumerate(zip(speeds, xs, ys))]
+
+
 class _Compared(list):
-    """A position list that counts the comparisons made with it."""
+    """A recorded position list that keeps the result of each comparison
+    made with it."""
 
     def __init__(self, items):
         super().__init__(items)
-        self.count = 0
+        self.results = []
 
     def __ne__(self, other):
-        self.count += 1
-        return list.__ne__(self, other)
+        self.results.append(list.__ne__(self, other))
+        return self.results[-1]
 
-    __eq__ = None  # a source that compared with == would fail here
+    __eq__ = None  # an admission that compared with == would fail here
 
 
 def test_source_drops_the_state_of_the_others():
@@ -635,11 +644,11 @@ def test_source_drops_the_state_of_the_others():
     # next tick, holding none, still compares the positions, each axis once
     index.pairs(xs, ys, [9.0, 0.3], [0, 1])
     assert index.held is None
-    index.xs, index.ys = xs, ys  # as `tick` records them
-    now = _Compared(xs), _Compared(ys)
-    assert index.source(*now) is True
+    last = index.xs, index.ys = _Compared(xs), _Compared(ys)  # as recorded
+    assert index.admit(_lane([9.0, 0.3], xs, ys))[2:] == (xs, ys)
     assert index.held is None
-    assert [v.count for v in now] == [1, 1]
+    # each axis compared once, and found where the last tick left it
+    assert [v.results for v in last] == [[False], [False]]
 
 
 @pytest.mark.parametrize("speeds, source, state", [
@@ -651,25 +660,28 @@ def test_source_holds_state_only_where_the_last_tick_left_the_agents(
     # frozen agents or the listed pairs
     index = engine._Index(SimParams())
     moved = [i for i, sp in enumerate(speeds) if sp]
-    xs, ys = [1.0, 2.0, 5.0], [3.0, 4.0, 5.0]
-    assert index.source(xs, ys) is False  # nothing recorded: a first tick
-    index.xs, index.ys = xs, ys  # as `tick` records them
+    agents = _lane(speeds, [1.0, 2.0, 5.0], [3.0, 4.0, 5.0])
+    index.held = [(0, [1])]
+    _, _, xs, ys = index.admit(agents)
+    assert index.held is None  # nothing recorded: a first tick
+    assert index.xs is xs and index.ys is ys  # recorded once checked
     index.trig[90.0] = heading_unit(90.0)  # the movers' heading
     index.pairs(xs, ys, speeds, moved)
     assert _served(index) == source
     held = index.held
     assert {"frozen": engine.StaticCache, "listed": list}[state] is type(held)
-    # the move kernel moves the snapshot the tick took, in place
-    xs[2] += 0.3
-    ys[2] -= 0.3
-    now = _Compared(xs), _Compared(ys)
+    # the move kernel moves the snapshot the tick took, in place, with the agent
+    agents[2].x = xs[2] = xs[2] + 0.3
+    agents[2].y = ys[2] = ys[2] - 0.3
     if edit == "x":  # a caller moved one agent along x
-        now[0][0] = math.nextafter(xs[0], 0.0)
+        agents[0].x = math.nextafter(xs[0], 0.0)
     elif edit == "y":  # or another along y alone
-        now[1][1] = math.nextafter(ys[1], math.inf)
-    assert index.source(*now) is (edit is None)
+        agents[1].y = math.nextafter(ys[1], math.inf)
+    last = index.xs, index.ys = _Compared(xs), _Compared(ys)
+    index.admit(agents)
+    assert (True in last[0].results + last[1].results) is (edit is not None)
     assert index.held is (held if edit is None else None)
-    assert max(v.count for v in now) <= 1  # each axis compared at most once
+    assert max(len(v.results) for v in last) <= 1  # each axis compared at most once
 
 
 @pytest.mark.parametrize("agents, per_team, source", [(20, 40, "list"),

@@ -9,7 +9,8 @@ import pytest
 from avflock import richardson
 from avflock.agents import ActionKind
 from avflock.cli import main
-from avflock.core import AgentState, SimParams, Team, WorldState
+from avflock.core import (AgentState, SimParams, Team, WorldState,
+                          heading_unit)
 from avflock.engine import tick
 from avflock.richardson import (PairState, RichardsonParams, Stability,
                                 fixed_point, simulate, spectral_radius,
@@ -273,20 +274,64 @@ class TestClosedForm:
 
 
 
-def test_map_is_the_engine_on_a_mutually_threatened_pair():
-    # two vehicles 0.5 m apart in one lane: each is the other's threat on
-    # every tick and takes its speed less the deceleration, which is the map
-    # with the speeds as the state, alpha = -1, delta = 1 and g*h = -decel
-    params = SimParams(n_red=1, n_black=1, min_velocity=0.5, max_velocity=0.9,
-                       deceleration=0.05)
-    world = WorldState(agents=[AgentState(0, Team.RED, 10.0, 10.0, 90.0, 0.9),
-                               AgentState(1, Team.BLACK, 10.5, 10.0, 90.0, 0.6)],
-                       params=params, rng=random.Random(0))
-    speeds = []
-    for _ in range(8):
+def _mirror_map(p: SimParams) -> RichardsonParams:
+    """The map of two vehicles that mirror each other on every tick, with
+    their speeds as the state: each takes the other's speed plus a change,
+    so alpha = -1, delta = 1 and g*h = -deceleration (under literal_rules
+    also + max_acceleration, which the engine adds in a second rounding)."""
+    gh = p.max_acceleration - p.deceleration if p.literal_rules else -p.deceleration
+    return RichardsonParams(alpha1=-1.0, alpha2=-1.0, delta1=1.0, delta2=1.0,
+                            g1=1.0, h1=gh, g2=1.0, h2=gh)
+
+
+def _mirrored_speeds(p: SimParams, speeds, gap, heading, lead, at,
+                     ticks=100) -> list[PairState]:
+    """The engine's speeds after each tick of two vehicles at `speeds`,
+    `gap` apart in one lane along `heading`, vehicle `lead` ahead and the
+    other at `at`, for as long as both mirror and stay above 0."""
+    dx, dy = heading_unit(heading)
+    xy = {1 - lead: at, lead: ((at[0] + gap * dx) % p.world_width,
+                               (at[1] + gap * dy) % p.world_height)}
+    world = WorldState(agents=[AgentState(i, team, *xy[i], heading, speeds[i])
+                               for i, team in enumerate((Team.RED, Team.BLACK))],
+                       params=p, rng=random.Random(0))
+    out = []
+    for _ in range(ticks):
         tick(world)
-        assert world.last_actions == [ActionKind.MIRROR] * 2
-        speeds.append(PairState(world.agents[0].speed, world.agents[1].speed))
-    rich = RichardsonParams(alpha1=-1.0, alpha2=-1.0, delta1=1.0, delta2=1.0,
-                            g1=1.0, h1=-0.05, g2=1.0, h2=-0.05)
-    assert speeds == simulate(PairState(0.9, 0.6), rich, 8)[1:]
+        state = PairState(world.agents[0].speed, world.agents[1].speed)
+        if world.last_actions != [ActionKind.MIRROR] * 2 or min(state) <= 0.0:
+            break
+        out.append(state)
+    return out
+
+
+@pytest.mark.parametrize("speeds, decel, gap, heading, lead, at", [
+    # the probe: agent 0 behind and faster, so the gap alternates 0.2, 0.5
+    ((0.9, 0.6), 0.05, 0.5, 90.0, 1, (10.0, 10.0)),
+    ((0.6, 0.9), 0.05, 0.5, 90.0, 1, (10.0, 10.0)),  # the leader faster
+    ((0.7, 0.4), 0.1, 0.3, 0.0, 0, (50.0, 50.0)),  # agent 0 leads, north
+    ((0.33, 0.71), 0.07, 0.9, 45.0, 0, (50.0, 50.0)),  # diagonal lane
+    ((0.85, 0.85), 0.02, 0.95, 270.0, 1, (30.0, 70.0)),  # equal speeds, west
+    ((0.9, 0.8), 0.2, 0.7, 120.0, 1, (50.0, 50.0)),  # a steep deceleration
+    ((0.8, 0.5), 0.03, 0.6, 200.0, 0, (0.2, 0.3)),  # the lane wraps the torus
+])
+def test_map_is_the_engine_on_a_mutually_threatened_pair(speeds, decel, gap,
+                                                         heading, lead, at):
+    # two vehicles in one lane, each the other's threat on every tick: each
+    # takes the other's speed less the deceleration, which is the map with
+    # the speeds as the state, bit for bit until a speed would reach 0
+    p = SimParams(n_red=1, n_black=1, min_velocity=0.5, max_velocity=0.9,
+                  deceleration=decel)
+    got = _mirrored_speeds(p, speeds, gap, heading, lead, at)
+    assert len(got) >= 3
+    assert got == simulate(PairState(*speeds), _mirror_map(p), len(got))[1:]
+
+
+def test_map_leaves_the_engine_under_literal_rules():
+    # README's divergence: a literal mirror takes v - decel + acc in two
+    # roundings and clamps at max_velocity; the map adds acc - decel once
+    p = SimParams(n_red=1, n_black=1, min_velocity=0.5, max_velocity=0.9,
+                  deceleration=0.05, max_acceleration=0.1, literal_rules=True)
+    got = _mirrored_speeds(p, (0.9, 0.6), 0.5, 90.0, 1, (10.0, 10.0), ticks=1)
+    assert got == [PairState(0.6499999999999999, 0.9)]
+    assert simulate(PairState(0.9, 0.6), _mirror_map(p), 1)[1] == (0.65, 0.9500000000000001)
